@@ -6,7 +6,7 @@ import repro.scenarios.Tables
 /** Shared session builder for the spark-submit entrypoints. */
 private[jobs] object JobSession {
   def apply(app: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

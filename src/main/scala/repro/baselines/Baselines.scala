@@ -16,8 +16,9 @@ import repro.nrab._
   *    died (the most downstream "picky" operator). Compatibles whose
   *    successors reach the (non-matching) output contribute nothing; no
   *    compatibles or no deaths -> no explanation.
-  *  - [[Baselines.whyNot]] — Chapman & Jagadish's Why-Not; same frontier
-  *    rule (they coincide on the paper's crime scenarios C1–C3).
+  *    Chapman & Jagadish's Why-Not follows the same frontier rule (they
+  *    coincide on the paper's crime scenarios C1–C3), so it is not a
+  *    separate entry point.
   *  - [[Baselines.conseil]] — Herschel's hybrid Conseil [19]: virtually
   *    repairs the picky operator and keeps tracing, returning the combined
   *    set of all picky operators along the longest-surviving compatible's
@@ -31,10 +32,10 @@ import repro.nrab._
 object Baselines {
 
   /** WN++ explanations: zero or one operator set. */
-  def wnPlusPlus(q: Question): Seq[Set[Int]] = frontier(q).toSeq
-
-  /** Why-Not [9] baseline (crime-scenario comparison, §6.4). */
-  def whyNot(q: Question): Option[Set[Int]] = frontier(q)
+  def wnPlusPlus(q: Question): Seq[Set[Int]] = {
+    val d = deaths(q)
+    if (d.isEmpty) Seq.empty else Seq(Set(d.minBy(_.deathPos).deathOp))
+  }
 
   /** Conseil [19] baseline: combined picky set of the compatible that
     * survived longest.
@@ -46,11 +47,6 @@ object Baselines {
       val best = d.minBy(_.deathPos)
       Some(best.failSets.minBy(s => (s.size, s.toSeq.sorted.mkString)))
     }
-  }
-
-  private def frontier(q: Question): Option[Set[Int]] = {
-    val d = deaths(q)
-    if (d.isEmpty) None else Some(Set(d.minBy(_.deathPos).deathOp))
   }
 
   /** Death summary for one traced table: the most downstream death

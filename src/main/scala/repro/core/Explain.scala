@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 import repro.nrab._
 import repro.whynot.NTup
 
@@ -18,7 +19,8 @@ final case class Question(
     altGroups: Seq[AltGroup] = Seq.empty,
     wnTraceTables: Option[Seq[String]] = None,
     baselineCompat: Map[String, Pred] = Map.empty) {
-  def tableSchemas: Map[String, Seq[String]] = tables.map { case (n, df) => n -> df.columns.toSeq }
+  /** Each input table's schema, nested types included. */
+  def tableSchemas: Map[String, StructType] = tables.map { case (n, df) => n -> df.schema }
 }
 
 /** One query-based explanation: a set of operators to reparameterize
@@ -51,7 +53,7 @@ object Explain {
   }
 
   private def run(q: Question, sas: Seq[SchemaAlternative],
-                  ts: Map[String, Seq[String]]): Seq[Explanation] = {
+                  ts: Map[String, StructType]): Seq[Explanation] = {
     val found = scala.collection.mutable.Map.empty[Set[Int], Explanation]
 
     sas.foreach { sa =>

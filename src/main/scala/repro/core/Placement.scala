@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.types.{ArrayType, StructType}
 import repro.nrab._
 import repro.whynot._
 
@@ -36,7 +37,7 @@ object Placement {
     * into a [[Placement]].
     */
   def backtrace(query: Op, nip: NTup,
-                tableSchemas: Map[String, Seq[String]]): Placement = {
+                tableSchemas: Map[String, StructType]): Placement = {
     val rootSources = Source.colSources(query, tableSchemas)
 
     val pathCons    = Seq.newBuilder[(SrcPath, Nip)]
@@ -82,19 +83,14 @@ object Placement {
 
     // t̄_R per table: nested pattern trees from the collected path constraints
     val tableNips = paths.groupBy(_._1.table).map { case (t, cs) =>
-      t -> buildPattern(t, cs.map { case (p, n) => (p.path, n) })
+      t -> buildPattern(tableSchemas(t), cs.map { case (p, n) => (p.path, n) })
     }
 
     // revalidation checks at flatten operators
     val fChecks = scala.collection.mutable.Map.empty[Int, Seq[(String, Nip)]]
     query.allOps.foreach {
-      case f @ FlattenRel(id, attr, _, in, _) =>
-        collectFlattenChecks(id, attr, in, Flattens.aliases(f, tableSchemas),
-                             paths, tableSchemas, fChecks)
-      case f @ FlattenTup(id, attr, in, _) =>
-        collectFlattenChecks(id, attr, in, Flattens.aliases(f, tableSchemas),
-                             paths, tableSchemas, fChecks)
-      case _ => ()
+      case f: Flatten => collectFlattenChecks(f, paths, tableSchemas, fChecks)
+      case _          => ()
     }
 
     Placement(
@@ -107,42 +103,43 @@ object Placement {
   }
 
   private def collectFlattenChecks(
-      id: Int, attr: String, in: Op, aliases: Seq[(String, String)],
-      paths: Seq[(SrcPath, Nip)], tableSchemas: Map[String, Seq[String]],
+      f: Flatten, paths: Seq[(SrcPath, Nip)], tableSchemas: Map[String, StructType],
       out: scala.collection.mutable.Map[Int, Seq[(String, Nip)]]): Unit = {
-    val attrSrc = Source.colSources(in, tableSchemas).get(attr)
+    val attrSrc = Source.colSources(f.in, tableSchemas).get(f.attr)
     attrSrc.foreach { s =>
-      val checks = aliases.flatMap { case (o, field) =>
+      val checks = Flattens.aliases(f, tableSchemas).flatMap { case (o, field) =>
         Source.extendSource(s, field) match {
           case p: SrcPath => paths.collect { case (cp, n) if cp == p => (o, n) }
           case _          => Seq.empty
         }
       }
-      if (checks.nonEmpty) out(id) = out.getOrElse(id, Seq.empty) ++ checks
+      if (checks.nonEmpty) out(f.id) = out.getOrElse(f.id, Seq.empty) ++ checks
     }
   }
 
   /** Build a nested NIP pattern for one table from (path, prim) pairs.
     * Scalar columns contribute direct fields; nested segments contribute
-    * a struct pattern ("tup") or an exists-style bag pattern ("rel") —
-    * constraints sharing a bag prefix land in the SAME element pattern
-    * (a compatible element must satisfy them conjointly, cf. Example 7).
+    * a struct pattern (a tuple in ``schema``) or an exists-style bag
+    * pattern (a relation) — constraints sharing a bag prefix land in the
+    * SAME element pattern (a compatible element must satisfy them
+    * conjointly, cf. Example 7).
     */
-  private[core] def buildPattern(table: String, cons: Seq[(List[String], Nip)]): NTup = {
-    def build(level: Seq[(List[String], Nip)]): Seq[(String, Nip)] =
+  private[core] def buildPattern(schema: StructType, cons: Seq[(List[String], Nip)]): NTup = {
+    def build(st: StructType, level: Seq[(List[String], Nip)]): Seq[(String, Nip)] =
       level.groupBy(_._1.head).toSeq.sortBy(_._1).map { case (seg, cs) =>
         val (leaves, deeper) = cs.partition(_._1.size == 1)
         val leafNips = leaves.map(c => seg -> c._2)
         if (deeper.isEmpty) leafNips
         else {
-          val inner = NTup(build(deeper.map { case (p, n) => (p.tail, n) }))
-          val pat = NestedSchemas.kindOf(table, seg) match {
-            case "tup" => inner: Nip
-            case _     => NBag(Seq(inner), star = true): Nip
+          val inner = deeper.map { case (p, n) => (p.tail, n) }
+          val pat = st.find(_.name == seg).map(_.dataType) match {
+            case Some(s: StructType)               => NTup(build(s, inner)): Nip
+            case Some(ArrayType(s: StructType, _)) => NBag(Seq(NTup(build(s, inner))), star = true): Nip
+            case _ => throw new IllegalArgumentException(s"no nested type at $seg in $st")
           }
           leafNips :+ (seg -> pat)
         }
       }.flatten
-    NTup(build(cons))
+    NTup(build(schema, cons))
   }
 }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.types.StructType
 import repro.nrab._
 
 /** A group of interchangeable source attributes (paper §5.2: attribute
@@ -32,7 +33,7 @@ object SchemaAlts {
     * SA 1 (index 0).
     */
   def enumerate(query: Op, groups: Seq[AltGroup],
-                tableSchemas: Map[String, Seq[String]]): Seq[SchemaAlternative] = {
+                tableSchemas: Map[String, StructType]): Seq[SchemaAlternative] = {
     val refKeys: Set[String] =
       Source.opRefs(query, tableSchemas).flatMap(_._2.pathKey).toSet
 
@@ -48,9 +49,9 @@ object SchemaAlts {
     }
 
     val origSchema = Eval.schemaOf(query, tableSchemas)
-    val lookup = mkLookup(groups, tableSchemas) _
+    val lookup = mkLookup(groups) _
 
-    val sas = combos.zipWithIndex.flatMap { case (assign, _) =>
+    val sas = combos.flatMap { assign =>
       try {
         val (q2, changed) = substitute(query, lookup(assign), tableSchemas)
         if (Eval.schemaOf(q2, tableSchemas) == origSchema)
@@ -84,8 +85,7 @@ object SchemaAlts {
     * hits translate directly; paths *below* a member translate their
     * suffix (via the group's field alignment when field names differ).
     */
-  private def mkLookup(groups: Seq[AltGroup], tableSchemas: Map[String, Seq[String]])
-                      (assign: Map[String, String])(p: SrcPath): SrcPath = {
+  private def mkLookup(groups: Seq[AltGroup])(assign: Map[String, String])(p: SrcPath): SrcPath = {
     val key = p.pathKey.get
     assign.get(key).map(parsePath).getOrElse {
       // prefix rule: member m is a proper prefix of key
@@ -119,7 +119,7 @@ object SchemaAlts {
     * translated reference is not accessible at its operator.
     */
   def substitute(op: Op, lookup: SrcPath => SrcPath,
-                 tableSchemas: Map[String, Seq[String]]): (Op, Set[Int]) = {
+                 tableSchemas: Map[String, StructType]): (Op, Set[Int]) = {
     val changed = Set.newBuilder[Int]
 
     def rename(a: String, s0: Map[String, SourceRef], s1: Map[String, SourceRef]): String =
@@ -177,17 +177,12 @@ object SchemaAlts {
         val conds2 = conds.map { case (a, b) => rename(a, l0, l1) -> rename(b, r0, r1) }
         mark(id, conds2 != conds); Join(id, kind, conds2, l2, r2)
 
-      case f @ FlattenRel(id, attr, outer, in, _) =>
-        val (c0, c1, in2) = ctx(in)
-        val (attr2, al2) = flattenSubst(f.attr, Flattens.aliases(f, tableSchemas), c0, c1)
-        mark(id, attr2 != attr || al2 != Flattens.aliases(f, tableSchemas))
-        FlattenRel(id, attr2, outer, in2, Some(al2))
-
-      case f @ FlattenTup(id, attr, in, _) =>
-        val (c0, c1, in2) = ctx(in)
-        val (attr2, al2) = flattenSubst(f.attr, Flattens.aliases(f, tableSchemas), c0, c1)
-        mark(id, attr2 != attr || al2 != Flattens.aliases(f, tableSchemas))
-        FlattenTup(id, attr2, in2, Some(al2))
+      case f: Flatten =>
+        val (c0, c1, in2) = ctx(f.in)
+        val aliases = Flattens.aliases(f, tableSchemas)
+        val (attr2, al2) = flattenSubst(f.attr, aliases, c0, c1)
+        mark(f.id, attr2 != f.attr || al2 != aliases)
+        f.withParams(attr2, in2, Some(al2))
 
       case NestRel(id, nested, out, in) =>
         val (c0, c1, in2) = ctx(in)

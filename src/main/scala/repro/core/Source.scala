@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.types.StructType
 import repro.nrab._
 
 /** Source provenance of columns — the data-independent half of schema
@@ -36,13 +37,12 @@ final case class SrcDerived(opId: Int, out: String, inputs: Set[SourceRef]) exte
 object Source {
 
   /** Output column -> source, for operator ``op``. ``tableSchemas`` gives
-    * base-table column lists; nested element fields come from
-    * [[repro.nrab.NestedSchemas]] (registered by the data generators).
+    * each base table's schema, nested element fields included.
     */
-  def colSources(op: Op, tableSchemas: Map[String, Seq[String]]): Map[String, SourceRef] =
+  def colSources(op: Op, tableSchemas: Map[String, StructType]): Map[String, SourceRef] =
     op match {
       case TableAccess(_, name) =>
-        tableSchemas(name).map(c => c -> SrcPath(name, List(c))).toMap
+        tableSchemas(name).fieldNames.map(c => c -> SrcPath(name, List(c))).toMap
 
       case Projection(id, cols, in) =>
         val src = colSources(in, tableSchemas)
@@ -64,17 +64,12 @@ object Source {
       case Join(_, _, _, l, r) =>
         colSources(l, tableSchemas) ++ colSources(r, tableSchemas)
 
-      case f @ FlattenRel(_, attr, _, in, _) =>
-        val src = colSources(in, tableSchemas)
-        (src - attr) ++ Flattens.aliases(f, tableSchemas).map { case (out, field) =>
-          out -> extendSource(src(attr), field)
-        }
-
-      case f @ FlattenTup(_, attr, in, _) =>
-        val src = colSources(in, tableSchemas)
-        src ++ Flattens.aliases(f, tableSchemas).map { case (out, field) =>
-          out -> extendSource(src(attr), field)
-        }
+      case f: Flatten =>
+        val src = colSources(f.in, tableSchemas)
+        (if (f.keepsAttr) src else src - f.attr) ++
+          Flattens.aliases(f, tableSchemas).map { case (out, field) =>
+            out -> extendSource(src(f.attr), field)
+          }
 
       case NestRel(id, nested, out, in) =>
         val src = colSources(in, tableSchemas)
@@ -101,7 +96,7 @@ object Source {
     * as (opId, source) pairs. Flatten aliases resolve each consumed
     * element field; join conditions resolve per side.
     */
-  def opRefs(root: Op, tableSchemas: Map[String, Seq[String]]): Seq[(Int, SourceRef)] = {
+  def opRefs(root: Op, tableSchemas: Map[String, StructType]): Seq[(Int, SourceRef)] = {
     val out = Seq.newBuilder[(Int, SourceRef)]
     def visit(op: Op): Unit = {
       op.children.foreach(visit)
@@ -114,15 +109,10 @@ object Source {
         case Join(id, _, conds, l, r) =>
           val (ls, rs) = (src(l), src(r))
           conds.foreach { case (a, b) => out += id -> ls(a); out += id -> rs(b) }
-        case f @ FlattenRel(id, attr, _, in, _) =>
-          val s = src(in); out += id -> s(attr)
+        case f: Flatten =>
+          val s = src(f.in); out += f.id -> s(f.attr)
           Flattens.aliases(f, tableSchemas).foreach { case (_, field) =>
-            out += id -> extendSource(s(attr), field)
-          }
-        case f @ FlattenTup(id, attr, in, _) =>
-          val s = src(in); out += id -> s(attr)
-          Flattens.aliases(f, tableSchemas).foreach { case (_, field) =>
-            out += id -> extendSource(s(attr), field)
+            out += f.id -> extendSource(s(f.attr), field)
           }
         case NestRel(id, nested, _, in) =>
           val s = src(in); nested.foreach(n => out += id -> s(n))

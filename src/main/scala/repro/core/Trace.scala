@@ -3,8 +3,9 @@ package repro.core
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.StructType
 import repro.nrab._
-import repro.whynot.{NAny, NBag, NCmp, NConst, NTup, Nip}
+import repro.whynot.Nip
 
 /** One tracked (reparameterizable, tuple-pruning) operator of the traced
   * pipeline with the physical column holding its retained flag.
@@ -51,7 +52,7 @@ object Trace {
     * lineage baselines, whose notion of compatibility can be coarser).
     */
   def trace(query: Op, catalog: Map[String, DataFrame], placement: Placement,
-            tableSchemas: Map[String, Seq[String]],
+            tableSchemas: Map[String, StructType],
             compatOverride: Map[String, Pred] = Map.empty): Traced = {
     val namer = new Namer
     go(query, catalog, placement, tableSchemas, namer, compatOverride)
@@ -65,7 +66,7 @@ object Trace {
   private def bool(c: Column): Column = coalesce(c, lit(false))
 
   private def go(op: Op, catalog: Map[String, DataFrame], placement: Placement,
-                 ts: Map[String, Seq[String]], nm: Namer,
+                 ts: Map[String, StructType], nm: Namer,
                  compatOverride: Map[String, Pred]): Traced = op match {
 
     case TableAccess(_, name) =>
@@ -75,13 +76,13 @@ object Trace {
       val compatCol = nm.fresh(s"compat_$name")
       val consExpr = bool(Nip.toColumn(placement.nipFor(name), n => src(n)))
       // compat-override predicates may use dotted paths into structs
-      def dotted(n: String): org.apache.spark.sql.Column = {
+      def dotted(n: String): Column = {
         val parts = n.split('.'); parts.tail.foldLeft(src(parts.head))(_.getField(_))
       }
       val compatExpr = compatOverride.get(name)
         .map(p => bool(p.toColumn(dotted))).getOrElse(consExpr)
       val df = src.select(
-        src.columns.map(c => src(c).as(colMap(c))) ++
+        src.columns.toSeq.map(c => src(c).as(colMap(c))) ++
           Seq(consExpr.as(consCol), compatExpr.as(compatCol), lit(true).as(aliveCol)): _*)
       Traced(df, colMap, consCol, aliveCol, Seq.empty, Map(name -> compatCol), Map.empty, Set(name))
 
@@ -199,13 +200,9 @@ object Trace {
         coalesce(col(tl.consistent), lit(!lConstrained)) &&
           coalesce(col(tr.consistent), lit(!rConstrained)))
 
-      // compat flags: padded side -> not compatible for that table
-      val compat = (tl.compat ++ tr.compat).map { case (tab, c) =>
-        tab -> c
-      }
       Traced(df, tl.cols ++ tr.cols, consCol, aliveCol,
         tl.tracked ++ tr.tracked :+ TrackedOp(id, retCol),
-        compat, tl.wnJoin ++ tr.wnJoin + (id -> (wnL, wnR)),
+        tl.compat ++ tr.compat, tl.wnJoin ++ tr.wnJoin + (id -> (wnL, wnR)),
         tl.tables ++ tr.tables)
 
     case Agg(id, groupBy, aggs, in) =>
@@ -215,9 +212,11 @@ object Trace {
       var df = t.df
       val outMap = scala.collection.mutable.Map[String, String]()
       groupBy.foreach { case (o, a) => outMap(o) = t.cols(a) }
+      def value(spec: AggSpec) = spec.expr.map(_.toColumn(t.resolve))
       aggs.foreach { spec =>
         val pc = nm.fresh(spec.out)
-        df = df.withColumn(pc, origAggValue(spec, t, w))
+        // the aggregate's value in the ORIGINAL pipeline
+        df = df.withColumn(pc, spec.func.aliveOver(value(spec), col(t.alive), w))
         outMap(spec.out) = pc
       }
       // aggregate-constraint satisfiability under full relaxation
@@ -225,8 +224,8 @@ object Trace {
       placement.aggChecks.getOrElse(id, Seq.empty).foreach { case (out, prim) =>
         val spec = aggs.find(_.out == out).getOrElse(
           throw new IllegalArgumentException(s"agg constraint on unknown output $out"))
-        val (lo, hi) = relaxedRange(spec, t, w)
-        cons = cons && bool(satisfiable(prim, lo, hi))
+        val (lo, hi) = spec.func.relaxedOver(value(spec), w)
+        cons = cons && bool(Nip.satisfiable(prim, lo, hi))
       }
       val consCol = nm.fresh("consistent")
       df = df.withColumn(consCol, cons)
@@ -256,79 +255,10 @@ object Trace {
                         checks: Seq[(String, Nip)], nm: Namer): (DataFrame, String) =
     if (checks.isEmpty) (df, consistent)
     else {
-      val expr = checks.map { case (pc, n) => primColumn(n, col(pc)) }.reduce(_ && _)
+      val expr = checks.map { case (pc, n) => Nip.primColumn(n, col(pc)) }.reduce(_ && _)
       val c2 = nm.fresh("consistent")
       (df.withColumn(c2, col(consistent) && bool(expr)), c2)
     }
-
-  private def primColumn(n: Nip, c: Column): Column = n match {
-    case NAny        => lit(true)
-    case NConst(v)   => c === lit(v)
-    case NCmp(op, v) => op match {
-      case "="  => c === lit(v);  case "!=" => c =!= lit(v)
-      case ">"  => c > lit(v);    case ">=" => c >= lit(v)
-      case "<"  => c < lit(v);    case "<=" => c <= lit(v)
-    }
-    case other => throw new IllegalArgumentException(s"non-primitive check: $other")
-  }
-
-  /** The aggregate's value in the ORIGINAL pipeline: aggregate over rows
-    * that survive every original operator so far (alive).
-    */
-  private def origAggValue(spec: AggSpec, t: Traced,
-                           w: org.apache.spark.sql.expressions.WindowSpec): Column = {
-    def v = spec.expr.get.toColumn(t.resolve)
-    val alive = col(t.alive)
-    spec.func match {
-      case "count" =>
-        val unit = spec.expr.map(_ => when(alive && v.isNotNull, 1L).otherwise(0L))
-          .getOrElse(when(alive, 1L).otherwise(0L))
-        sum(unit).over(w)
-      case "sum" => sum(when(alive, v)).over(w)
-      case "avg" => avg(when(alive, v)).over(w)
-      case "min" => min(when(alive, v)).over(w)
-      case "max" => max(when(alive, v)).over(w)
-      case "count_distinct" => size(collect_set(when(alive, v)).over(w)).cast("long")
-      case other => throw new IllegalArgumentException(s"unknown aggregate: $other")
-    }
-  }
-
-  /** [lo, hi] of the aggregate over arbitrary subsets of the group's
-    * traced rows — the loose "full relaxation" bounds of §5.4.
-    */
-  private def relaxedRange(spec: AggSpec, t: Traced,
-                           w: org.apache.spark.sql.expressions.WindowSpec): (Column, Column) = {
-    def v = spec.expr.get.toColumn(t.resolve)
-    spec.func match {
-      case "count" =>
-        val unit = spec.expr.map(_ => when(v.isNotNull, 1L).otherwise(0L))
-          .getOrElse(lit(1L))
-        (lit(0L), coalesce(sum(unit).over(w), lit(0L)))
-      case "sum" =>
-        (coalesce(sum(when(v < 0, v)).over(w), lit(0.0)),
-         coalesce(sum(when(v > 0, v)).over(w), lit(0.0)))
-      case "avg" => (min(v).over(w), max(v).over(w))
-      case "min" => (min(v).over(w), max(v).over(w))
-      case "max" => (min(v).over(w), max(v).over(w))
-      case "count_distinct" => (lit(0L), size(collect_set(v).over(w)).cast("long"))
-      case other => throw new IllegalArgumentException(s"unknown aggregate: $other")
-    }
-  }
-
-  /** Constraint satisfiable within [lo, hi]? (Column-level twin of
-    * [[repro.whynot.Nip.satisfiableInRange]].)
-    */
-  private def satisfiable(n: Nip, lo: Column, hi: Column): Column = n match {
-    case NAny        => lit(true)
-    case NConst(x)   => lo <= lit(x) && lit(x) <= hi
-    case NCmp(op, x) => op match {
-      case "="  => lo <= lit(x) && lit(x) <= hi
-      case "!=" => !(lo === lit(x) && hi === lit(x))
-      case ">"  => hi > lit(x);  case ">=" => hi >= lit(x)
-      case "<"  => lo < lit(x);  case "<=" => lo <= lit(x)
-    }
-    case other => throw new IllegalArgumentException(s"non-primitive agg constraint: $other")
-  }
 
   /** Does the subtree rooted at ``op`` carry any why-not constraint? */
   private def isConstrained(op: Op, placement: Placement): Boolean = {

@@ -1,7 +1,6 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.nrab.NestedSchemas
 import scala.util.Random
 
 /** Synthetic DBLP-like bibliography substituting the paper's 100–500 GB
@@ -89,12 +88,6 @@ object Dblp {
         DVenue("IEEE", 2018), DVenue("ACM", 2018), Seq.empty, "https://carol.example.org"))
     ).flatten
 
-    NestedSchemas.register("records", "authors", Seq("name"), "rel")
-    NestedSchemas.register("records", "title", Seq("text", "bibtex"), "tup")
-    NestedSchemas.register("records", "publisher", Seq("vname", "vyear"), "tup")
-    NestedSchemas.register("records", "series", Seq("vname", "vyear"), "tup")
-    NestedSchemas.register("records", "urls", Seq("url"), "rel")
-    NestedSchemas.register("inproc", "authors", Seq("name"), "rel")
 
     Map(
       "proc" -> procs.toDS().toDF().cache(),

@@ -3,7 +3,6 @@ package repro.data
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
-import repro.nrab.NestedSchemas
 
 /** Synthetic TPC-H with lineitems nested into orders ([35]-style), the
   * substrate of the paper's Q1/Q3/Q4/Q6/Q10/Q13 scenarios, plus the flat
@@ -138,9 +137,6 @@ object NestedTpch {
           "l_returnflag:string,l_shipdate:string,l_commitdate:string,l_receiptdate:string>>")))
       .cache()
 
-    NestedSchemas.register("nestedOrders", "o_lineitems",
-      lineitemFields.filterNot(_ == "l_orderkey"), "rel")
-
     // customers with their orders nested (possibly empty) — the paper's
     // Q13 rerun where the join error becomes an inner-flatten error
     val ordStruct = struct(col("o_orderkey"), col("o_orderdate"))
@@ -151,8 +147,6 @@ object NestedTpch {
       .withColumn("c_orders", coalesce(col("c_orders"),
         array().cast("array<struct<o_orderkey:bigint,o_orderdate:string>>")))
       .cache()
-    NestedSchemas.register("customerNested", "c_orders",
-      Seq("o_orderkey", "o_orderdate"), "rel")
 
     NestedTpch(lineitem, orders, customer, nation, nestedOrders, customerNested)
   }

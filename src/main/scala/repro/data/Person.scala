@@ -1,7 +1,6 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.nrab.NestedSchemas
 
 /** The paper's running example (Figure 1a): a person table with two
   * nested address relations. Used as golden test vectors for the tracing
@@ -20,11 +19,9 @@ object Person {
       address2 = Seq(Addr("LA", 2019), Addr("NY", 2018)))
   )
 
-  /** The person table; registers its nested structure as a side effect. */
+  /** The person table. */
   def table(spark: SparkSession): DataFrame = {
     import spark.implicits._
-    NestedSchemas.register("person", "address1", Seq("city", "year"), "rel")
-    NestedSchemas.register("person", "address2", Seq("city", "year"), "rel")
     rows.toDS().toDF()
   }
 }

@@ -1,7 +1,6 @@
 package repro.data
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.nrab.NestedSchemas
 import scala.util.Random
 
 /** Synthetic Twitter-like data substituting the paper's 100–500 GB tweet
@@ -15,7 +14,9 @@ import scala.util.Random
   *
   * Planted witnesses: tweet 501 (T1, LeBron with empty media), fan
   * ``bts_army_jane`` (T2), user ``famous_user`` (T3), the #ChelseaFC
-  * tweets (T4), and the retweets of status 777 (T_ASD).
+  * tweets (T4), and the retweets of status 777 (T_ASD). Planted tweets
+  * have ids 501–802; generic tweets are numbered from
+  * ``GenericTweetIds + 1`` up, so no tweet count makes the two collide.
   */
 object Twitter {
   final case class TUser(uname: String, location: String)
@@ -31,6 +32,7 @@ object Twitter {
 
   val T1TweetId = 501L
   val AsdStatusId = 777L
+  val GenericTweetIds = 1000L
 
   def tables(spark: SparkSession, nTweets: Int = 300, seed: Long = 13): Map[String, DataFrame] = {
     import spark.implicits._
@@ -41,7 +43,7 @@ object Twitter {
     val generic = (1 to nTweets).map { i =>
       val u = s"user$i"
       Tweet(
-        tid = i.toLong,
+        tid = GenericTweetIds + i,
         text = Seq("Michael Jordan highlights", "UEFA news update", "BTS comeback", "hello world")(rnd.nextInt(4)),
         uname = u,
         user = TUser(u, if (rnd.nextBoolean()) countries(rnd.nextInt(countries.size)) else null),
@@ -86,16 +88,8 @@ object Twitter {
         TStatus(AsdStatusId, "the famous tweet text", null), noStatus))
 
     val mentions = (Seq(Mention("famous_user")) ++
-      (1 to 40).map(i => Mention(s"user${rnd.nextInt(nTweets) + 1}"))).distinct
+      Seq.fill(40)(Mention(s"user${rnd.nextInt(nTweets) + 1}"))).distinct
 
-    NestedSchemas.register("tweets", "user", Seq("uname", "location"), "tup")
-    NestedSchemas.register("tweets", "place", Seq("country"), "tup")
-    NestedSchemas.register("tweets", "entities", Seq("media", "urls"), "tup")
-    NestedSchemas.register("tweets", "media", Seq("xurl"), "rel")
-    NestedSchemas.register("tweets", "urls", Seq("xurl"), "rel")
-    NestedSchemas.register("tweets", "hashtags", Seq("tag"), "rel")
-    NestedSchemas.register("tweets", "retweeted_status", Seq("sid", "stext", "scount"), "tup")
-    NestedSchemas.register("tweets", "quoted_status", Seq("sid", "stext", "scount"), "tup")
 
     Map(
       "tweets" -> (generic ++ planted).toDS().toDF().cache(),

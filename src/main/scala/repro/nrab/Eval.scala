@@ -2,6 +2,7 @@ package repro.nrab
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, DataType, StructType}
 
 /** Evaluates an NRAB operator tree with its *original* semantics on Spark.
   *
@@ -15,12 +16,12 @@ object Eval {
 
   /** Evaluate ``op`` against ``catalog`` (table name -> DataFrame). */
   def apply(op: Op, catalog: Map[String, DataFrame]): DataFrame = {
-    val tableSchemas = catalog.map { case (n, df) => n -> df.columns.toSeq }
+    val tableSchemas = catalog.map { case (n, df) => n -> df.schema }
     eval(op, catalog, tableSchemas)
   }
 
   private def eval(op: Op, catalog: Map[String, DataFrame],
-                   tableSchemas: Map[String, Seq[String]]): DataFrame = op match {
+                   tableSchemas: Map[String, StructType]): DataFrame = op match {
     case TableAccess(_, name) =>
       catalog.getOrElse(name, throw new IllegalArgumentException(s"unknown table: $name"))
 
@@ -43,7 +44,7 @@ object Eval {
     case f @ FlattenRel(_, attr, outer, in, _) =>
       val df  = eval(in, catalog, tableSchemas)
       val gen = if (outer) explode_outer(df(attr)) else explode(df(attr))
-      val keep = df.columns.filterNot(_ == attr).map(df(_))
+      val keep = df.columns.toSeq.filterNot(_ == attr).map(df(_))
       val promoted = Flattens.aliases(f, tableSchemas).map {
         case (out, field) => col("__x").getField(field).as(out)
       }
@@ -52,7 +53,7 @@ object Eval {
     case f @ FlattenTup(_, attr, in, _) =>
       // tuple flatten keeps the flattened attribute (paper Table 1: R ∘ τ)
       val df = eval(in, catalog, tableSchemas)
-      val keep = df.columns.map(df(_))
+      val keep = df.columns.toSeq.map(df(_))
       val promoted = Flattens.aliases(f, tableSchemas).map {
         case (out, field) => df(attr).getField(field).as(out)
       }
@@ -60,7 +61,7 @@ object Eval {
 
     case NestRel(_, nested, out, in) =>
       val df   = eval(in, catalog, tableSchemas)
-      val keys = df.columns.filterNot(nested.contains)
+      val keys = df.columns.toSeq.filterNot(nested.contains)
       val packed = struct(nested.map(n => df(n).as(n)): _*)
       df.groupBy(keys.map(df(_)): _*)
         .agg(collect_list(packed).as(out))
@@ -68,7 +69,7 @@ object Eval {
     case NestTup(_, fields, out, in) =>
       val df   = eval(in, catalog, tableSchemas)
       val attrs = fields.map(_._2)
-      val keep = df.columns.filterNot(attrs.contains).map(df(_))
+      val keep = df.columns.toSeq.filterNot(attrs.contains).map(df(_))
       df.select(keep :+ struct(fields.map { case (o, a) => df(a).as(o) }: _*).as(out): _*)
 
     case Agg(_, groupBy, aggs, in) =>
@@ -96,34 +97,23 @@ object Eval {
   }
 
   /** Compile one aggregate spec, resolving attributes through ``resolve``. */
-  def aggColumn(a: AggSpec, resolve: String => Column): Column = {
-    def v: Column = a.expr.get.toColumn(resolve)
-    val c = a.func match {
-      case "count" => a.expr.map(_ => count(v)).getOrElse(count(lit(1)))
-      case "sum"   => sum(v)
-      case "avg"   => avg(v)
-      case "min"   => min(v)
-      case "max"   => max(v)
-      case "count_distinct" => countDistinct(v)
-      case other   => throw new IllegalArgumentException(s"unknown aggregate: $other")
-    }
-    c.as(a.out)
-  }
+  def aggColumn(a: AggSpec, resolve: String => Column): Column =
+    a.func.agg(a.expr.map(_.toColumn(resolve))).as(a.out)
 
   /** Output column names of ``op`` (data-independent schema calculus used
     * by backtracing and schema-alternative pruning).
     */
-  def schemaOf(op: Op, tableSchemas: Map[String, Seq[String]]): Seq[String] = op match {
+  def schemaOf(op: Op, tableSchemas: Map[String, StructType]): Seq[String] = op match {
     case TableAccess(_, name) =>
       tableSchemas.getOrElse(name, throw new IllegalArgumentException(s"unknown table: $name"))
+        .fieldNames.toSeq
     case Projection(_, cols, _)     => cols.map(_.out)
     case Renaming(_, renames, _)    => renames.map(_._1)
     case Selection(_, _, in)        => schemaOf(in, tableSchemas)
     case Join(_, _, _, l, r)        => schemaOf(l, tableSchemas) ++ schemaOf(r, tableSchemas)
-    case f @ FlattenRel(_, attr, _, in, _) =>
-      schemaOf(in, tableSchemas).filterNot(_ == attr) ++ Flattens.aliases(f, tableSchemas).map(_._1)
-    case f @ FlattenTup(_, _, in, _) =>
-      schemaOf(in, tableSchemas) ++ Flattens.aliases(f, tableSchemas).map(_._1)
+    case f: Flatten =>
+      val in = schemaOf(f.in, tableSchemas)
+      (if (f.keepsAttr) in else in.filterNot(_ == f.attr)) ++ Flattens.aliases(f, tableSchemas).map(_._1)
     case NestRel(_, nested, out, in) =>
       schemaOf(in, tableSchemas).filterNot(nested.contains) :+ out
     case NestTup(_, fields, out, in) =>
@@ -134,82 +124,71 @@ object Eval {
   }
 }
 
-/** Data-independent tracking of the *nested* structure (which attributes
-  * are nested relations/tuples and what fields they hold), so backtracing
-  * and SA pruning can run before touching data. Nested structure is
-  * registered per (table, attribute-or-promoted-attribute) by the data
-  * generators; attributes promoted by a tuple flatten keep their field
-  * registration under the same table name.
+/** The fields a flatten promotes, read from each table's own schema:
+  * nested structure is data-independent, so backtracing and SA pruning
+  * resolve it without touching data.
   */
-object NestedSchemas {
-  private val reg = scala.collection.concurrent.TrieMap.empty[(String, String), Seq[String]]
-  private val kinds = scala.collection.concurrent.TrieMap.empty[(String, String), String]
+object Flattens {
 
-  /** Register nested attribute ``attr`` of ``table`` with its element
-    * ``fields``; ``kind`` is "rel" (array of struct — a nested relation)
-    * or "tup" (struct — a nested tuple). Attributes promoted by a tuple
-    * flatten are registered under the same table name.
+  /** (outputName, elementField) pairs promoted by ``f``: its explicit
+    * aliases, else every field of the flattened attribute's nested type
+    * under its own name, in schema order.
     */
-  def register(table: String, attr: String, fields: Seq[String], kind: String = "rel"): Unit = {
-    reg.put((table, attr), fields)
-    kinds.put((table, attr), kind)
-  }
+  def aliases(f: Flatten, tableSchemas: Map[String, StructType]): Seq[(String, String)] =
+    f.aliases.getOrElse(fieldsOf(f.in, List(f.attr), tableSchemas).map(x => x -> x))
 
-  /** "rel" | "tup" for a registered nested attribute segment. */
-  def kindOf(table: String, attr: String): String =
-    kinds.getOrElse((table, attr),
-      throw new IllegalArgumentException(s"nested kind of $table.$attr not registered"))
-
-  /** Fields of nested attribute ``attr`` as produced by operator ``in``. */
-  def fieldsOf(in: Op, attr: String, tableSchemas: Map[String, Seq[String]]): Seq[String] =
-    in match {
+  /** Fields of the nested value at ``path`` — an output column of ``op``
+    * followed by field names below it — traced back to the base table's
+    * schema or to the nesting operator that built it.
+    */
+  private def fieldsOf(op: Op, path: List[String],
+                       tableSchemas: Map[String, StructType]): Seq[String] = {
+    val attr = path.head
+    op match {
       case TableAccess(_, name) =>
-        reg.getOrElse((name, attr),
-          throw new IllegalArgumentException(s"nested structure of $name.$attr not registered"))
-      case NestRel(_, nested, out, _) if out == attr => nested
-      case NestTup(_, fields, out, _) if out == attr => fields.map(_._1)
+        val schema = tableSchemas.getOrElse(name,
+          throw new IllegalArgumentException(s"unknown table: $name"))
+        def noNested = new IllegalArgumentException(s"no nested type at $name.${path.mkString(".")}")
+        val leaf = path.foldLeft(schema: DataType) { (dt, seg) =>
+          elementStruct(dt).flatMap(_.find(_.name == seg)).getOrElse(throw noNested).dataType
+        }
+        elementStruct(leaf).getOrElse(throw noNested).fieldNames.toSeq
+      case NestRel(_, nested, out, child) if out == attr =>
+        if (path.tail.isEmpty) nested else fieldsOf(child, path.tail, tableSchemas)
+      case NestTup(_, fields, out, child) if out == attr =>
+        if (path.tail.isEmpty) fields.map(_._1)
+        else fieldsOf(child, fields.toMap.getOrElse(path(1), path(1)) :: path.drop(2), tableSchemas)
       case Projection(_, cols, child) =>
         val src = cols.find(_.out == attr).map(_.expr) match {
           case Some(Attr(n)) => n
           case _             => attr
         }
-        fieldsOf(child, src, tableSchemas)
+        fieldsOf(child, src :: path.tail, tableSchemas)
       case Renaming(_, renames, child) =>
         val src = renames.find(_._1 == attr).map(_._2).getOrElse(attr)
-        fieldsOf(child, src, tableSchemas)
-      case Selection(_, _, child)  => fieldsOf(child, attr, tableSchemas)
-      case Dedup(_, child)         => fieldsOf(child, attr, tableSchemas)
-      case UnionOp(_, l, _)        => fieldsOf(l, attr, tableSchemas)
+        fieldsOf(child, src :: path.tail, tableSchemas)
+      case Selection(_, _, child)  => fieldsOf(child, path, tableSchemas)
+      case Dedup(_, child)         => fieldsOf(child, path, tableSchemas)
+      case UnionOp(_, l, _)        => fieldsOf(l, path, tableSchemas)
       case Join(_, _, _, l, r) =>
-        if (Eval.schemaOf(l, tableSchemas).contains(attr)) fieldsOf(l, attr, tableSchemas)
-        else fieldsOf(r, attr, tableSchemas)
-      case f @ FlattenRel(_, a, _, child, _) =>
-        if (a == attr)
-          throw new IllegalArgumentException(s"$attr was flattened away by ${f.label}")
-        // attr may be a field promoted by this flatten (alias out == attr):
-        // resolve via the table-level registry fallback by recursing.
-        fieldsOf(child, promotedSource(f.aliases, attr), tableSchemas)
-      case f @ FlattenTup(_, a, child, _) =>
-        if (a == attr)
-          throw new IllegalArgumentException(s"$attr was flattened away by ${f.label}")
-        fieldsOf(child, promotedSource(f.aliases, attr), tableSchemas)
+        fieldsOf(if (Eval.schemaOf(l, tableSchemas).contains(attr)) l else r, path, tableSchemas)
+      case f: Flatten =>
+        aliases(f, tableSchemas).find(_._1 == attr) match {
+          // a promoted field: continue below the flattened attribute
+          case Some((_, field)) => fieldsOf(f.in, f.attr :: field :: path.tail, tableSchemas)
+          case None if f.attr == attr && !f.keepsAttr =>
+            throw new IllegalArgumentException(s"$attr was flattened away by ${f.label}")
+          case None => fieldsOf(f.in, path, tableSchemas)
+        }
       case other =>
         throw new IllegalArgumentException(s"cannot resolve nested fields of $attr below ${other.label}")
     }
+  }
 
-  private def promotedSource(aliases: Option[Seq[(String, String)]], attr: String): String =
-    aliases.flatMap(_.find(_._1 == attr).map(_._2)).getOrElse(attr)
-
-  def clear(): Unit = { reg.clear(); kinds.clear() }
-}
-
-/** Helpers around flatten field aliases. */
-object Flattens {
-  def aliases(f: FlattenRel, tableSchemas: Map[String, Seq[String]]): Seq[(String, String)] =
-    f.aliases.getOrElse(
-      NestedSchemas.fieldsOf(f.in, f.attr, tableSchemas).map(x => x -> x))
-
-  def aliases(f: FlattenTup, tableSchemas: Map[String, Seq[String]]): Seq[(String, String)] =
-    f.aliases.getOrElse(
-      NestedSchemas.fieldsOf(f.in, f.attr, tableSchemas).map(x => x -> x))
+  /** The struct of a tuple-typed value or of a relation's elements. */
+  private def elementStruct(dt: DataType): Option[StructType] = dt match {
+    case st: StructType                => Some(st)
+    case ArrayType(st: StructType, _)  => Some(st)
+    case _                             => None
+  }
 }

@@ -17,8 +17,7 @@ sealed trait Op {
     case o: Renaming               => Seq(o.in)
     case o: Selection              => Seq(o.in)
     case o: Join                   => Seq(o.left, o.right)
-    case o: FlattenRel             => Seq(o.in)
-    case o: FlattenTup             => Seq(o.in)
+    case o: Flatten                => Seq(o.in)
     case o: NestRel                => Seq(o.in)
     case o: NestTup                => Seq(o.in)
     case o: Agg                    => Seq(o.in)
@@ -80,20 +79,18 @@ object ProjCol {
 }
 
 /** One aggregate of an aggregation operator: ``out <- func(expr)``.
-  * ``expr`` is None for ``count(*)``. Functions: sum, count, avg, min,
-  * max, count_distinct (the standard SQL set — the paper's PTIME case).
-  * ``expr`` may be arithmetic, e.g. Q3's
+  * ``expr`` is None for ``count(*)``; it may be arithmetic, e.g. Q3's
   * ``sum(l_extendedprice * (1 - l_discount)) -> revenue``.
   */
-final case class AggSpec(func: String, expr: Option[Expr], out: String) {
+final case class AggSpec(func: AggFunc, expr: Option[Expr], out: String) {
   /** Attribute references of the aggregated expression. */
   def attrs: Set[String] = expr.map(_.attrs).getOrElse(Set.empty)
 }
 
 object AggSpec {
-  def apply(func: String, attr: String, out: String): AggSpec =
+  def apply(func: AggFunc, attr: String, out: String): AggSpec =
     AggSpec(func, Some(Attr(attr)), out)
-  def countStar(out: String): AggSpec = AggSpec("count", None, out)
+  def countStar(out: String): AggSpec = AggSpec(AggFunc.Count, None, out)
 }
 
 /** Base-table scan. */
@@ -120,25 +117,46 @@ final case class Selection(id: Int, pred: Pred, in: Op) extends Op
 final case class Join(id: Int, kind: JoinKind.JoinKind,
                       conds: Seq[(String, String)], left: Op, right: Op) extends Op
 
+/** A flatten: promotes the fields of nested attribute ``attr`` to top
+  * level. ``aliases`` pins the promoted output names: (outputName,
+  * elementField). None promotes every field of the attribute's nested
+  * type under its own name, in schema order. Explicit aliases keep the
+  * query's output schema stable when a schema alternative swaps the
+  * flattened attribute for one with differently named fields.
+  */
+sealed trait Flatten extends Op {
+  def attr: String
+  def in: Op
+  def aliases: Option[Seq[(String, String)]]
+
+  /** Whether the flattened attribute stays in the output. */
+  def keepsAttr: Boolean
+
+  /** The same flatten with new parameters (a schema alternative's rewrite). */
+  def withParams(attr: String, in: Op, aliases: Option[Seq[(String, String)]]): Flatten
+}
+
 /** Relation flatten F^I / F^O over an attribute of nested-relation type
-  * (array of struct). The element's fields are promoted to top level; the
-  * flattened attribute itself is dropped from the output (scenario queries
-  * never reference it afterwards, and keeping a duplicate array column
-  * would break Spark nesting/grouping downstream).
-  *
-  * ``aliases`` pins the promoted output names: (outputName, elementField).
-  * None promotes every element field under its own name. Explicit aliases
-  * keep the query's output schema stable when a schema alternative swaps
-  * the flattened attribute for one with differently named fields.
+  * (array of struct). The flattened attribute itself is dropped from the
+  * output (scenario queries never reference it afterwards, and keeping a
+  * duplicate array column would break Spark nesting/grouping downstream).
   */
 final case class FlattenRel(id: Int, attr: String, outer: Boolean, in: Op,
-                            aliases: Option[Seq[(String, String)]] = None) extends Op
+                            aliases: Option[Seq[(String, String)]] = None) extends Flatten {
+  def keepsAttr: Boolean = false
+  def withParams(attr: String, in: Op, aliases: Option[Seq[(String, String)]]): Flatten =
+    copy(attr = attr, in = in, aliases = aliases)
+}
 
-/** Tuple flatten F^T over an attribute of tuple (struct) type; ``aliases``
-  * as in [[FlattenRel]].
+/** Tuple flatten F^T over an attribute of tuple (struct) type; it keeps
+  * the flattened attribute (paper Table 1: R ∘ τ).
   */
 final case class FlattenTup(id: Int, attr: String, in: Op,
-                            aliases: Option[Seq[(String, String)]] = None) extends Op
+                            aliases: Option[Seq[(String, String)]] = None) extends Flatten {
+  def keepsAttr: Boolean = true
+  def withParams(attr: String, in: Op, aliases: Option[Seq[(String, String)]]): Flatten =
+    copy(attr = attr, in = in, aliases = aliases)
+}
 
 /** Relation nesting N^R_{A->C}: group on sch(R)-A, collect A-tuples into a
   * fresh nested relation attribute ``out``.

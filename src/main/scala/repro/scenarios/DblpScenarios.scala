@@ -39,7 +39,7 @@ object DblpScenarios {
     * title.bibtex, which is null for >99% of records.
     */
   def d2(t: Map[String, DataFrame]): Scenario = {
-    val q = Agg(250, Seq("aname" -> "aname"), Seq(AggSpec("count", "btitle", "numArticles")),
+    val q = Agg(250, Seq("aname" -> "aname"), Seq(AggSpec(AggFunc.Count, "btitle", "numArticles")),
       Selection(251, Not(Contains(Attr("aname"), "Dey")),
         FlattenTup(3, "title",
           FlattenRel(253, "authors", outer = false, TableAccess(252, "records"),

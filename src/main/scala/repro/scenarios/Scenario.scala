@@ -31,8 +31,8 @@ final case class Scenario(
   def runRpNoSa(): Seq[Explanation] = Explain.rpNoSA(question)
   def runWn(): Seq[Set[String]] =
     Baselines.wnPlusPlus(question).map(_.map(Explain.labelOf(question.query, _)))
-  def runWhyNot(): Option[Set[String]] =
-    Baselines.whyNot(question).map(_.map(Explain.labelOf(question.query, _)))
+  /** Why-Not [9]: the same frontier rule as WN++ (see [[Baselines]]). */
+  def runWhyNot(): Option[Set[String]] = runWn().headOption
   def runConseil(): Option[Set[String]] =
     Baselines.conseil(question).map(_.map(Explain.labelOf(question.query, _)))
 

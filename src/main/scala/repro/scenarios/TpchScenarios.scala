@@ -35,14 +35,14 @@ object TpchScenarios {
     * (intended: l_discount).
     */
   def q1(d: NestedTpch): Scenario = {
-    val q = Agg(23, Seq.empty, Seq(AggSpec("sum", "l_tax", "avgDisc")),
+    val q = Agg(23, Seq.empty, Seq(AggSpec(AggFunc.Sum, "l_tax", "avgDisc")),
       Selection(24, Pred.le("l_shipdate", "1998-09-02"),
         FlattenRel(100, "o_lineitems", outer = false, TableAccess(101, "nestedOrders"))))
     q1Like(d, q, groupsNested, "Q1", "TPC-H Q1 (nested), modified aggregation")
   }
 
   def q1F(d: NestedTpch): Scenario = {
-    val q = Agg(23, Seq.empty, Seq(AggSpec("sum", "l_tax", "avgDisc")),
+    val q = Agg(23, Seq.empty, Seq(AggSpec(AggFunc.Sum, "l_tax", "avgDisc")),
       Selection(24, Pred.le("l_shipdate", "1998-09-02"), TableAccess(101, "lineitem")))
     q1Like(d, q, groupsFlat, "Q1F", "TPC-H Q1 (flat), modified aggregation")
   }
@@ -69,7 +69,7 @@ object TpchScenarios {
   def q3(d: NestedTpch): Scenario = {
     val q =
       Agg(25, Agg.keys("o_orderkey", "o_orderdate", "o_shippriority"),
-        Seq(AggSpec("sum", Some(Arith("*", Attr("l_extendedprice"),
+        Seq(AggSpec(AggFunc.Sum, Some(Arith("*", Attr("l_extendedprice"),
           Arith("-", Lit(1.0), Attr("l_discount")))), "revenue")),
         Selection(26, Pred.eq("c_mktsegment", "HOUSEHOLD"),
           Selection(102, Pred.lt("o_orderdate", "1995-03-15"),
@@ -88,7 +88,7 @@ object TpchScenarios {
   def q3F(d: NestedTpch): Scenario = {
     val q =
       Agg(25, Agg.keys("o_orderkey", "o_orderdate", "o_shippriority"),
-        Seq(AggSpec("sum", Some(Arith("*", Attr("l_extendedprice"),
+        Seq(AggSpec(AggFunc.Sum, Some(Arith("*", Attr("l_extendedprice"),
           Arith("-", Lit(1.0), Attr("l_discount")))), "revenue")),
         Selection(102, Pred.lt("o_orderdate", "1995-03-15"),
           Selection(27, Pred.gt("l_commitdate", "1995-03-25"),
@@ -125,7 +125,7 @@ object TpchScenarios {
       Pred.ge("o_orderdate", "1993-07-01") && Pred.le("o_orderdate", "1993-09-30"),
       TableAccess(112, "nestedOrders"))
     val q = Agg(30, Seq("o_shippriority" -> "o_shippriority"),
-      Seq(AggSpec("count", "o_orderkey", "order_count")),
+      Seq(AggSpec(AggFunc.Count, "o_orderkey", "order_count")),
       Join(113, JoinKind.Inner, Seq("o_orderkey" -> "d_orderkey"), filterOrd, distOrd))
     q4Like(d, q, groupsNested, "Q4", "TPC-H Q4 (nested), modified selection and aggregation")
   }
@@ -138,7 +138,7 @@ object TpchScenarios {
       Pred.ge("o_orderdate", "1993-07-01") && Pred.le("o_orderdate", "1993-09-30"),
       TableAccess(112, "orders"))
     val q = Agg(30, Seq("o_shippriority" -> "o_shippriority"),
-      Seq(AggSpec("count", "o_orderkey", "order_count")),
+      Seq(AggSpec(AggFunc.Count, "o_orderkey", "order_count")),
       Join(113, JoinKind.Inner, Seq("o_orderkey" -> "d_orderkey"), filterOrd, distOrd))
     q4Like(d, q, groupsFlat, "Q4F", "TPC-H Q4 (flat), modified selection and aggregation")
   }
@@ -159,7 +159,7 @@ object TpchScenarios {
 
   /** Q6: revenue; error: σ33 ranges over l_tax (intended l_discount). */
   def q6(d: NestedTpch): Scenario = {
-    val q = Agg(114, Seq.empty, Seq(AggSpec("sum", "disc_price", "revenue")),
+    val q = Agg(114, Seq.empty, Seq(AggSpec(AggFunc.Sum, "disc_price", "revenue")),
       Projection(31, Seq(ProjCol("disc_price",
         Arith("*", Attr("l_extendedprice"), Attr("l_discount")))),
         Selection(32, Pred.ge("l_shipdate", "1994-01-01") && Pred.le("l_shipdate", "1994-12-31"),
@@ -170,7 +170,7 @@ object TpchScenarios {
   }
 
   def q6F(d: NestedTpch): Scenario = {
-    val q = Agg(114, Seq.empty, Seq(AggSpec("sum", "disc_price", "revenue")),
+    val q = Agg(114, Seq.empty, Seq(AggSpec(AggFunc.Sum, "disc_price", "revenue")),
       Projection(31, Seq(ProjCol("disc_price",
         Arith("*", Attr("l_extendedprice"), Attr("l_discount")))),
         Selection(32, Pred.ge("l_shipdate", "1994-01-01") && Pred.le("l_shipdate", "1994-12-31"),
@@ -222,7 +222,7 @@ object TpchScenarios {
                       name: String, desc: String): Scenario = {
     val keys = Seq("c_custkey", "c_name", "c_acctbal", "c_phone", "n_name",
       "c_address", "c_comment")
-    val q = Agg(120, Agg.keys(keys: _*), Seq(AggSpec("sum", "disc_price", "revenue")),
+    val q = Agg(120, Agg.keys(keys: _*), Seq(AggSpec(AggFunc.Sum, "disc_price", "revenue")),
       Projection(37, ProjCol.keep(keys: _*) :+ ProjCol("disc_price",
         Arith("*", Attr("l_extendedprice"), Arith("-", Lit(1.0), Attr("l_tax")))),
         Join(121, JoinKind.Inner, Seq("c_nationkey" -> "n_nationkey"),
@@ -252,8 +252,8 @@ object TpchScenarios {
 
   private def q13Like(d: NestedTpch, ordersTable: String, name: String,
                       desc: String): Scenario = {
-    val q = Agg(124, Seq("c_count" -> "c_count"), Seq(AggSpec("count", "c_custkey", "custdist")),
-      Agg(125, Agg.keys("c_custkey"), Seq(AggSpec("count", "o_orderkey", "c_count")),
+    val q = Agg(124, Seq("c_count" -> "c_count"), Seq(AggSpec(AggFunc.Count, "c_custkey", "custdist")),
+      Agg(125, Agg.keys("c_custkey"), Seq(AggSpec(AggFunc.Count, "o_orderkey", "c_count")),
         Join(39, JoinKind.Inner, Seq("c_custkey" -> "o_custkey"),
           Projection(126, ProjCol.keep("c_custkey"), TableAccess(127, "customer")),
           Projection(128, ProjCol.keep("o_orderkey", "o_custkey"),

@@ -87,7 +87,7 @@ object TwitterScenarios {
     val q = NestRel(278, Seq("country"), "countries",
       Projection(279, ProjCol.keep("tag", "country"),
         Selection(20, Pred.gt("cnt", 0L),
-          Agg(280, Agg.keys("tag", "country"), Seq(AggSpec("count", "country", "cnt")),
+          Agg(280, Agg.keys("tag", "country"), Seq(AggSpec(AggFunc.Count, "country", "cnt")),
             Selection(19, Contains(Attr("text"), "UEFA"),
               FlattenTup(18, "place",
                 FlattenRel(281, "hashtags", outer = false, TableAccess(282, "tweets"),

@@ -17,13 +17,13 @@ import repro.nrab._
   * Supported plan nodes: SubqueryAlias over a leaf (temp view ->
   * TableAccess), Project (keeps, renames, +,-,*,/ derived columns),
   * Filter, equi-Join (inner/left/right/full), Aggregate (count/sum/avg/
-  * min/max, optionally over arithmetic), Generate+Explode of an
-  * array-of-struct column (-> relation flatten; the struct-field accesses
-  * of the enclosing Project become the promoted columns), Distinct and
-  * Union. Anything else raises ``UnsupportedPlanException``.
-  *
-  * Nested structure of imported tables is registered in
-  * [[repro.nrab.NestedSchemas]] from the Catalyst types as a side effect.
+  * min/max and count(DISTINCT x), optionally over arithmetic),
+  * Generate+Explode of an array-of-struct column (-> relation flatten; the
+  * struct-field accesses of the enclosing Project become the promoted
+  * columns), Distinct and Union. Anything else — including other DISTINCT
+  * aggregates and FILTER clauses — raises ``UnsupportedPlanException``.
+  * Nested structure needs no import: the analysis reads it from the
+  * tables' own schemas.
   */
 object PlanImport {
 
@@ -48,16 +48,13 @@ object PlanImport {
       // a temp view maps to a table access even when its definition
       // contains renaming projections (toDF(...) inserts one)
       case logical.SubqueryAlias(ident, v: logical.View) =>
-        registerNested(ident.name, v.output)
         (TableAccess(ids.getAndIncrement(), ident.name),
           v.output.map(a => a.exprId.id -> a.name).toMap)
 
       case logical.SubqueryAlias(ident, child) =>
         leafOutput(child) match {
           case Some(output) =>
-            val name = ident.name
-            registerNested(name, output)
-            (TableAccess(ids.getAndIncrement(), name),
+            (TableAccess(ids.getAndIncrement(), ident.name),
               output.map(a => a.exprId.id -> a.name).toMap)
           case None => importPlan(child, ids)
         }
@@ -108,15 +105,19 @@ object PlanImport {
         val keyIds = groupingExprs.collect { case a: AttributeReference => a.exprId.id }.toSet
         val aggs = aggExprs.flatMap {
           case a: AttributeReference if keyIds.contains(a.exprId.id) => None
-          case Alias(AggregateExpression(fn, _, _, _, _), name) =>
-            val (func, arg) = fn match {
-              case Count(Seq(Literal(_, _))) => ("count", None)
-              case Count(Seq(e))  => ("count", Some(importExpr(e, env)))
-              case Sum(e, _)      => ("sum", Some(importExpr(e, env)))
-              case Average(e, _)  => ("avg", Some(importExpr(e, env)))
-              case Min(e)         => ("min", Some(importExpr(e, env)))
-              case Max(e)         => ("max", Some(importExpr(e, env)))
-              case other => throw new UnsupportedPlanException(s"aggregate: $other")
+          case Alias(AggregateExpression(_, _, _, Some(filter), _), name) =>
+            throw new UnsupportedPlanException(s"aggregate $name with FILTER ($filter)")
+          case Alias(AggregateExpression(fn, _, isDistinct, None, _), name) =>
+            val (func, arg) = (fn, isDistinct) match {
+              case (Count(Seq(e)), true)          => (AggFunc.CountDistinct, Some(importExpr(e, env)))
+              case (other, true) => throw new UnsupportedPlanException(s"distinct aggregate: $other")
+              case (Count(Seq(Literal(_, _))), _) => (AggFunc.Count, None)
+              case (Count(Seq(e)), _)             => (AggFunc.Count, Some(importExpr(e, env)))
+              case (Sum(e, _), _)                 => (AggFunc.Sum, Some(importExpr(e, env)))
+              case (Average(e, _), _)             => (AggFunc.Avg, Some(importExpr(e, env)))
+              case (Min(e), _)                    => (AggFunc.Min, Some(importExpr(e, env)))
+              case (Max(e), _)                    => (AggFunc.Max, Some(importExpr(e, env)))
+              case (other, _) => throw new UnsupportedPlanException(s"aggregate: $other")
             }
             Some(AggSpec(func, arg, name))
           case other => throw new UnsupportedPlanException(s"aggregate item: $other")
@@ -172,17 +173,6 @@ object PlanImport {
     case Alias(_, name)        => name
     case other                 => other.name
   }
-
-  private def registerNested(table: String, output: Seq[Attribute]): Unit =
-    output.foreach { a =>
-      a.dataType match {
-        case ArrayType(st: StructType, _) =>
-          NestedSchemas.register(table, a.name, st.fieldNames.toSeq, "rel")
-        case st: StructType =>
-          NestedSchemas.register(table, a.name, st.fieldNames.toSeq, "tup")
-        case _ => ()
-      }
-    }
 
   private[spark] def importExpr(e: CExpr, env: Env): Expr = e match {
     case a: AttributeReference => Attr(resolveAttr(a, env))

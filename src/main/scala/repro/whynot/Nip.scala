@@ -98,13 +98,6 @@ object Nip {
       .reduceOption(_ && _).getOrElse(lit(true))
 
   private def fieldColumn(c: Column, nip: Nip): Column = nip match {
-    case NAny         => lit(true)
-    case NConst(v)    => c === lit(v)
-    case NCmp(op, v)  => op match {
-      case "="  => c === lit(v);  case "!=" => c =!= lit(v)
-      case ">"  => c > lit(v);    case ">=" => c >= lit(v)
-      case "<"  => c < lit(v);    case "<=" => c <= lit(v)
-    }
     case NTup(fields) =>
       fields.map { case (n, sub) => fieldColumn(c.getField(n), sub) }
         .reduceOption(_ && _).getOrElse(lit(true))
@@ -113,44 +106,46 @@ object Nip {
       // {{e1, …, en, *}}: each pattern element must match some array element.
       elems.map {
         case NAny => size(c) > 0
-        case e    => exists(c, x => elemColumn(x, e))
+        case e    => exists(c, x => fieldColumn(x, e))
       }.reduceOption(_ && _).getOrElse(lit(true))
     case NBag(elems, false) =>
       // exact bag without * — only used with a single fully-wild element
       // in practice; approximate as exists + size bound.
       val ex = elems.map {
         case NAny => lit(true)
-        case e    => exists(c, x => elemColumn(x, e))
+        case e    => exists(c, x => fieldColumn(x, e))
       }.reduceOption(_ && _).getOrElse(lit(true))
       ex && size(c) === elems.size
+    case prim => primColumn(prim, c)
   }
 
-  private def elemColumn(x: Column, nip: Nip): Column = nip match {
-    case NAny         => lit(true)
-    case NConst(v)    => x === lit(v)
-    case NCmp(op, v)  => fieldColumn(x, NCmp(op, v))
-    case NTup(fields) =>
-      fields.map { case (n, sub) => fieldColumn(x.getField(n), sub) }
-        .reduceOption(_ && _).getOrElse(lit(true))
-    case b: NBag      => fieldColumn(x, b)
-  }
-
-  /** Satisfiability of a primitive constraint against a value range
-    * [lo, hi] — used for aggregate consistency under "full relaxation"
-    * (paper §5.4's loose-bounds model).
+  /** A primitive constraint (``?``, a constant or a comparison) as a
+    * predicate on the value in ``c``.
     */
-  def satisfiableInRange(nip: Nip, lo: Double, hi: Double): Boolean = nip match {
-    case NAny        => true
-    case NConst(v: Number) => lo <= v.doubleValue && v.doubleValue <= hi
-    case NConst(_)   => false
-    case NCmp(op, c: Number) =>
-      val v = c.doubleValue
-      op match {
-        case "="  => lo <= v && v <= hi
-        case "!=" => !(lo == v && hi == v)
-        case ">"  => hi > v;  case ">=" => hi >= v
-        case "<"  => lo < v;  case "<=" => lo <= v
-      }
-    case _ => false
+  def primColumn(nip: Nip, c: Column): Column = nip match {
+    case NAny        => lit(true)
+    case NConst(v)   => c === lit(v)
+    case NCmp(op, v) => op match {
+      case "="  => c === lit(v);  case "!=" => c =!= lit(v)
+      case ">"  => c > lit(v);    case ">=" => c >= lit(v)
+      case "<"  => c < lit(v);    case "<=" => c <= lit(v)
+    }
+    case other => throw new IllegalArgumentException(s"non-primitive constraint: $other")
+  }
+
+  /** Is primitive constraint ``nip`` satisfiable by some value in
+    * [``lo``, ``hi``]? Used for aggregate consistency under "full
+    * relaxation" (paper §5.4's loose-bounds model).
+    */
+  def satisfiable(nip: Nip, lo: Column, hi: Column): Column = nip match {
+    case NAny        => lit(true)
+    case NConst(x)   => lo <= lit(x) && lit(x) <= hi
+    case NCmp(op, x) => op match {
+      case "="  => lo <= lit(x) && lit(x) <= hi
+      case "!=" => !(lo === lit(x) && hi === lit(x))
+      case ">"  => hi > lit(x);  case ">=" => hi >= lit(x)
+      case "<"  => lo < lit(x);  case "<=" => lo <= lit(x)
+    }
+    case other => throw new IllegalArgumentException(s"non-primitive constraint: $other")
   }
 }

@@ -64,4 +64,29 @@ class ExplainEdgeSpec extends SparkSpec {
       Nip.tup("city" -> NConst("NY"), "name" -> NAny)))
     assert(es.map(_.ops) == Seq(Set(2)))
   }
+
+  // a nested table no data generator builds: its structure is known only
+  // from its own schema
+  private def inline(elem: String): Map[String, org.apache.spark.sql.DataFrame] =
+    Map("inline" -> spark.range(3).selectExpr("id AS k", s"array($elem) AS items"))
+
+  private val flattenInline = FlattenRel(1, "items", outer = false, TableAccess(0, "inline"))
+
+  test("a nested table is read through its own schema by Eval and RP") {
+    val t = inline("named_struct('nm', cast(id AS string), 'qty', id)")
+    val q = Selection(2, Pred.gt("qty", 1L), flattenInline)
+    assert(Eval(q, t).columns.toSeq == Seq("k", "nm", "qty"))
+    assert(Eval(q, t).count() == 1)
+    assert(Explain.rp(Question(q, t, Nip.tup("nm" -> NConst("0")))).map(_.labels) == Seq(Set("σ2")))
+  }
+
+  test("one table name with two schemas: each question flattens its own fields") {
+    val a = inline("named_struct('x', id, 'y', id)")
+    val b = inline("named_struct('z', cast(id AS string))")
+    assert(Eval(flattenInline, a).columns.toSeq == Seq("k", "x", "y"))
+    assert(Eval(flattenInline, b).columns.toSeq == Seq("k", "z"))
+    val q = Selection(2, Pred.gt("k", 1L), flattenInline)
+    assert(Explain.rp(Question(q, a, Nip.tup("y" -> NConst(0L)))).map(_.labels) == Seq(Set("σ2")))
+    assert(Explain.rp(Question(q, b, Nip.tup("z" -> NConst("0")))).map(_.labels) == Seq(Set("σ2")))
+  }
 }

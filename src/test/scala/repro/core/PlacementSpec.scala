@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.types.StructType
 import org.scalatest.funsuite.AnyFunSuite
 import repro.nrab._
 import repro.whynot._
@@ -9,9 +10,10 @@ import repro.whynot._
   */
 class PlacementSpec extends AnyFunSuite {
 
-  NestedSchemas.register("r", "addr", Seq("city", "year"), "rel")
-  NestedSchemas.register("r", "meta", Seq("tag"), "tup")
-  private val ts = Map("r" -> Seq("k", "v", "addr", "meta"), "s" -> Seq("sk", "sv"))
+  private val ts = Map(
+    "r" -> StructType.fromDDL(
+      "k INT, v STRING, addr ARRAY<STRUCT<city: STRING, year: INT>>, meta STRUCT<tag: STRING>"),
+    "s" -> StructType.fromDDL("sk INT, sv STRING"))
 
   test("scalar constraint lands in the table NIP") {
     val q = Projection(1, ProjCol.keep("k", "v"), TableAccess(0, "r"))
@@ -48,7 +50,7 @@ class PlacementSpec extends AnyFunSuite {
   }
 
   test("aggregate constraints are placed at the aggregation, not the source") {
-    val q = Agg(1, Agg.keys("k"), Seq(AggSpec("count", "v", "n")), TableAccess(0, "r"))
+    val q = Agg(1, Agg.keys("k"), Seq(AggSpec(AggFunc.Count, "v", "n")), TableAccess(0, "r"))
     val p = Placement.backtrace(q, Nip.tup("k" -> NConst(1), "n" -> NCmp(">=", 5L)), ts)
     assert(p.aggChecks == Map(1 -> Seq(("n", NCmp(">=", 5L)))))
     assert(p.constrainedTables == Set("r")) // only the key constraint

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.types.StructType
 import org.scalatest.funsuite.AnyFunSuite
 import repro.nrab._
 
@@ -8,9 +9,8 @@ import repro.nrab._
   */
 class SchemaAltsSpec extends AnyFunSuite {
 
-  NestedSchemas.register("t", "arr1", Seq("x", "y"), "rel")
-  NestedSchemas.register("t", "arr2", Seq("x", "y"), "rel")
-  private val ts = Map("t" -> Seq("a", "b", "arr1", "arr2"))
+  private val ts = Map("t" -> StructType.fromDDL(
+    "a INT, b INT, arr1 ARRAY<STRUCT<x: INT, y: INT>>, arr2 ARRAY<STRUCT<x: INT, y: INT>>"))
 
   // final projection fixes the output schema (the un-flattened sibling
   // array would otherwise leak into it and prune every swap)
@@ -61,8 +61,7 @@ class SchemaAltsSpec extends AnyFunSuite {
   }
 
   test("three-member group with one reference yields three alternatives") {
-    NestedSchemas.register("u", "dummy", Seq.empty, "rel")
-    val ts3 = Map("t" -> Seq("a", "b", "c"))
+    val ts3 = Map("t" -> StructType.fromDDL("a INT, b INT, c INT"))
     val q2 = Selection(1, Pred.gt("a", 0), TableAccess(0, "t"))
     val sas = SchemaAlts.enumerate(q2, Seq(AltGroup(Seq("t.a", "t.b", "t.c"))), ts3)
     assert(sas.size == 3)
@@ -80,9 +79,8 @@ class SchemaAltsSpec extends AnyFunSuite {
     val sas3 = SchemaAlts.enumerate(q3, Seq(AltGroup(Seq("t.a", "t.b"))), ts)
     // renaming keeps output name too — also 2; now check flatten with
     // differing promoted names gets pruned without aliases
-    NestedSchemas.register("v", "n1", Seq("p"), "rel")
-    NestedSchemas.register("v", "n2", Seq("q"), "rel")
-    val tsv = Map("v" -> Seq("n1", "n2"))
+    val tsv = Map("v" -> StructType.fromDDL(
+      "n1 ARRAY<STRUCT<p: INT>>, n2 ARRAY<STRUCT<q: INT>>"))
     val q4 = FlattenRel(1, "n1", outer = false, TableAccess(0, "v"))
     val sas4 = SchemaAlts.enumerate(q4, Seq(AltGroup(Seq("v.n1", "v.n2"))), tsv)
     assert(sas4.size == 1) // swap would rename the promoted column p -> q

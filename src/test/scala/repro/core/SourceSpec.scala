@@ -1,14 +1,14 @@
 package repro.core
 
+import org.apache.spark.sql.types.StructType
 import org.scalatest.funsuite.AnyFunSuite
 import repro.nrab._
 
 /** Unit tests for column-source provenance and M_sbt (paper §5.1). */
 class SourceSpec extends AnyFunSuite {
 
-  NestedSchemas.register("w", "bag", Seq("f", "g"), "rel")
-  NestedSchemas.register("w", "pair", Seq("p", "q"), "tup")
-  private val ts = Map("w" -> Seq("c1", "c2", "bag", "pair"))
+  private val ts = Map("w" -> StructType.fromDDL(
+    "c1 INT, c2 INT, bag ARRAY<STRUCT<f: INT, g: INT>>, pair STRUCT<p: INT, q: INT>"))
 
   test("table access maps columns to themselves") {
     val s = Source.colSources(TableAccess(0, "w"), ts)
@@ -43,7 +43,7 @@ class SourceSpec extends AnyFunSuite {
   }
 
   test("aggregation outputs are SrcAgg; keys keep their sources") {
-    val q = Agg(1, Seq("k" -> "c1"), Seq(AggSpec("sum", "c2", "total")), TableAccess(0, "w"))
+    val q = Agg(1, Seq("k" -> "c1"), Seq(AggSpec(AggFunc.Sum, "c2", "total")), TableAccess(0, "w"))
     val s = Source.colSources(q, ts)
     assert(s("k") == SrcPath("w", List("c1")))
     assert(s("total") == SrcAgg(1, "total"))
@@ -61,9 +61,15 @@ class SourceSpec extends AnyFunSuite {
     assert(fields == Map("out1" -> SrcPath("w", List("c1"))))
   }
 
+  test("flattening an attribute with no nested type at its path is rejected by name") {
+    val e = intercept[IllegalArgumentException] {
+      Source.colSources(FlattenRel(1, "c1", outer = false, TableAccess(0, "w")), ts)
+    }
+    assert(e.getMessage.contains("no nested type at w.c1"))
+  }
+
   test("join merges both sides' sources") {
-    NestedSchemas.register("w2", "none", Seq.empty, "rel")
-    val ts2 = ts + ("v" -> Seq("d1"))
+    val ts2 = ts + ("v" -> StructType.fromDDL("d1 INT"))
     val q = Join(1, JoinKind.Inner, Seq("c1" -> "d1"),
       TableAccess(0, "w"), TableAccess(2, "v"))
     val s = Source.colSources(q, ts2)
@@ -80,7 +86,7 @@ class SourceSpec extends AnyFunSuite {
 
   test("opRefs covers aggregation keys and aggregated expressions") {
     val q = Agg(1, Seq("k" -> "c1"),
-      Seq(AggSpec("sum", Some(Arith("*", Attr("c2"), Lit(2))), "t")), TableAccess(0, "w"))
+      Seq(AggSpec(AggFunc.Sum, Some(Arith("*", Attr("c2"), Lit(2))), "t")), TableAccess(0, "w"))
     val refs = Source.opRefs(q, ts).toSet
     assert(refs.contains(1 -> SrcPath("w", List("c1"))))
     assert(refs.contains(1 -> SrcPath("w", List("c2"))))

@@ -19,7 +19,7 @@ class TraceSpec extends SparkSpec {
             TableAccess(0, "person")))))
 
   private def tables = Map("person" -> Person.table(spark))
-  private def ts = tables.map { case (n, df) => n -> df.columns.toSeq }
+  private def ts = tables.map { case (n, df) => n -> df.schema }
   private def nip = Nip.tup("city" -> NConst("NY"), "nList" -> Nip.bagStar(NAny))
 
   private def tracedFor(saIndex: Int): (Traced, SchemaAlternative) = {

@@ -1,10 +1,11 @@
 package repro.data
 
+import org.apache.spark.sql.types.{ArrayType, DataType, StructType}
 import repro.{SparkSpec, SynthData}
-import repro.nrab.NestedSchemas
+import repro.nrab._
 
 /** Sanity checks for the synthetic data generators (DESIGN.md §4):
-  * determinism, planted witnesses, nested-structure registration.
+  * determinism, planted witnesses, the nested types of their schemas.
   */
 class DataSpec extends SparkSpec {
 
@@ -77,12 +78,35 @@ class DataSpec extends SparkSpec {
       .filter("s_witness <> 'zack'").count() == 0)
   }
 
-  test("nested structure registration covers the scenario attributes") {
-    NestedTpch(spark, nOrders = 100)
-    Twitter.tables(spark, nTweets = 10)
-    assert(NestedSchemas.kindOf("nestedOrders", "o_lineitems") == "rel")
-    assert(NestedSchemas.kindOf("tweets", "user") == "tup")
-    assert(NestedSchemas.kindOf("tweets", "media") == "rel")
+  test("table schemas carry the scenarios' nested attributes, fields in order") {
+    val tables = NestedTpch(spark, nOrders = 100).catalog ++ Twitter.tables(spark, nTweets = 10) ++
+      Dblp.tables(spark, nRecords = 10) + ("person" -> Person.table(spark))
+    val ts = tables.map { case (n, df) => n -> df.schema }
+    val li = NestedTpch.lineitemFields.filterNot(_ == "l_orderkey")
+    val venue = Seq("vname", "vyear"); val status = Seq("sid", "stext", "scount")
+    // (table, path to the nested attribute, relation (else tuple), its fields)
+    val expected = Seq(
+      ("person", "address1", true, Seq("city", "year")),
+      ("person", "address2", true, Seq("city", "year")),
+      ("records", "authors", true, Seq("name")), ("records", "title", false, Seq("text", "bibtex")),
+      ("records", "publisher", false, venue), ("records", "series", false, venue),
+      ("records", "urls", true, Seq("url")), ("inproc", "authors", true, Seq("name")),
+      ("nestedOrders", "o_lineitems", true, li),
+      ("customerNested", "c_orders", true, Seq("o_orderkey", "o_orderdate")),
+      ("tweets", "user", false, Seq("uname", "location")), ("tweets", "place", false, Seq("country")),
+      ("tweets", "entities", false, Seq("media", "urls")),
+      ("tweets", "entities.media", true, Seq("xurl")), ("tweets", "entities.urls", true, Seq("xurl")),
+      ("tweets", "hashtags", true, Seq("tag")),
+      ("tweets", "retweeted_status", false, status), ("tweets", "quoted_status", false, status))
+    expected.foreach { case (table, dotted, rel, fields) =>
+      val path = dotted.split('.').toSeq
+      val leaf = path.foldLeft(ts(table): DataType)((dt, f) => dt.asInstanceOf[StructType](f).dataType)
+      assert(leaf.isInstanceOf[ArrayType] == rel, s"$table.$dotted: $leaf")
+      // the flatten's promoted fields, reached through tuple flattens of the path's prefix
+      val in = path.init.foldLeft(TableAccess(0, table): Op)((op, a) => FlattenTup(1, a, op))
+      val f = if (rel) FlattenRel(2, path.last, outer = false, in) else FlattenTup(2, path.last, in)
+      assert(Flattens.aliases(f, ts).map(_._2) == fields, s"$table.$dotted")
+    }
   }
 
   test("provided SynthData generators stay deterministic (oracle requirement)") {
@@ -90,15 +114,5 @@ class DataSpec extends SparkSpec {
     val b = SynthData.lineitem(spark, sf = 0.001)
     assert(a.count() == b.count())
     assert(a.exceptAll(b).count() == 0)
-  }
-
-  test("zipf keys are skewed, uniform keys are not") {
-    val z = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000)
-    val u = SynthData.uniformKeys(spark, rows = 20000, nKeys = 1000)
-    val zTop = z.groupBy("k").count().orderBy(org.apache.spark.sql.functions.desc("count"))
-      .head().getLong(1)
-    val uTop = u.groupBy("k").count().orderBy(org.apache.spark.sql.functions.desc("count"))
-      .head().getLong(1)
-    assert(zTop > uTop * 3, s"zipf top=$zTop uniform top=$uTop")
   }
 }

@@ -78,7 +78,7 @@ class EvalSpec extends SparkSpec {
 
   test("grouped aggregation matches DuckDB") {
     val q = Agg(1, Agg.keys("l_returnflag"),
-      Seq(AggSpec("count", "l_orderkey", "n"), AggSpec("sum", "l_quantity", "qty")),
+      Seq(AggSpec(AggFunc.Count, "l_orderkey", "n"), AggSpec(AggFunc.Sum, "l_quantity", "qty")),
       TableAccess(0, "lineitem"))
     Oracle.assertEquivalent(
       Eval(q, cat).selectExpr("l_returnflag", "cast(n as long) n", "round(qty,2) qty"),
@@ -89,7 +89,7 @@ class EvalSpec extends SparkSpec {
   }
 
   test("global aggregation matches DuckDB") {
-    val q = Agg(1, Seq.empty, Seq(AggSpec("sum", "l_extendedprice", "total")),
+    val q = Agg(1, Seq.empty, Seq(AggSpec(AggFunc.Sum, "l_extendedprice", "total")),
       TableAccess(0, "lineitem"))
     Oracle.assertEquivalent(
       Eval(q, cat).selectExpr("round(total, 2) total"),
@@ -98,7 +98,7 @@ class EvalSpec extends SparkSpec {
   }
 
   test("aggregation over an expression matches DuckDB") {
-    val q = Agg(1, Seq.empty, Seq(AggSpec("sum",
+    val q = Agg(1, Seq.empty, Seq(AggSpec(AggFunc.Sum,
       Some(Arith("*", Attr("l_extendedprice"), Attr("l_discount"))), "rev")),
       TableAccess(0, "lineitem"))
     Oracle.assertEquivalent(
@@ -148,7 +148,6 @@ class EvalSpec extends SparkSpec {
     import spark.implicits._
     val df = Seq(("a", Seq(Person.Addr("NY", 2020))), ("b", Seq.empty[Person.Addr]))
       .toDF("name", "addr")
-    NestedSchemas.register("padtest", "addr", Seq("city", "year"), "rel")
     val inner = Eval(FlattenRel(1, "addr", outer = false, TableAccess(0, "padtest")),
       Map("padtest" -> df))
     val outer = Eval(FlattenRel(1, "addr", outer = true, TableAccess(0, "padtest")),
@@ -211,7 +210,7 @@ class EvalSpec extends SparkSpec {
       Projection(3, ProjCol.keep("name", "city"),
         Selection(2, Pred.ge("year", 2019),
           FlattenRel(1, "address2", outer = false, TableAccess(0, "person")))))
-    val ts = person.map { case (n, df) => n -> df.columns.toSeq }
+    val ts = person.map { case (n, df) => n -> df.schema }
     assert(Eval.schemaOf(q, ts) == Eval(q, person).columns.toSeq)
   }
 

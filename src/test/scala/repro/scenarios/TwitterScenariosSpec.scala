@@ -27,6 +27,10 @@ class TwitterScenariosSpec extends SparkSpec {
     check(TwitterScenarios.tAsd(t))
   }
 
+  test("T1 at 1000 tweets (seeds 2, 3): generic tweet ids never collide with planted ones") {
+    Seq(2L, 3L).foreach(seed => check(TwitterScenarios.t1(Twitter.tables(spark, nTweets = 1000, seed = seed))))
+  }
+
   test("T1: the famous tweet is absent from the original result") {
     val s = TwitterScenarios.t1(t)
     assert(Eval(s.question.query, t).filter(s"tid = ${Twitter.T1TweetId}").count() == 0)

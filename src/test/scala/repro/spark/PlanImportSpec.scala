@@ -54,7 +54,31 @@ class PlanImportSpec extends SparkSpec {
     val op = PlanImport(df)
     val agg = op.allOps.collectFirst { case a: Agg => a }.get
     assert(agg.groupBy == Seq("name" -> "name"))
-    assert(agg.aggs.map(a => (a.func, a.out)) == Seq(("count", "n"), ("max", "latest")))
+    assert(agg.aggs.map(a => (a.func, a.out)) == Seq((AggFunc.Count, "n"), (AggFunc.Max, "latest")))
+  }
+
+  private def dupView() = {
+    import spark.implicits._
+    val t = Seq(("a", 1), ("a", 1), ("a", 2), ("b", 3)).toDF("g", "v")
+    t.createOrReplaceTempView("dup")
+    t
+  }
+
+  test("count(DISTINCT x) imports as count-distinct and evaluates like the DataFrame") {
+    val t = dupView()
+    val df = spark.table("dup").groupBy("g").agg(countDistinct(col("v")).as("n"))
+    def counts(d: org.apache.spark.sql.DataFrame) = d.collect().map(r => r.getString(0) -> r.getLong(1)).toMap
+    assert(counts(Eval(PlanImport(df), Map("dup" -> t))) == counts(df))
+  }
+
+  test("other DISTINCT aggregates and FILTER clauses raise UnsupportedPlanException") {
+    dupView()
+    intercept[PlanImport.UnsupportedPlanException] {
+      PlanImport(spark.table("dup").groupBy("g").agg(sum_distinct(col("v")).as("s")))
+    }
+    intercept[PlanImport.UnsupportedPlanException] {
+      PlanImport(spark.sql("SELECT g, count(v) FILTER (WHERE v > 1) AS n FROM dup GROUP BY g"))
+    }
   }
 
   test("equi-join imports with sides resolved") {

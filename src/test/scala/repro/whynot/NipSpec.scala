@@ -1,12 +1,14 @@
 package repro.whynot
 
-import org.scalatest.funsuite.AnyFunSuite
+import org.apache.spark.sql.functions.lit
 import org.scalacheck.{Prop, Test => SCTest}
+import repro.SparkSpec
 
 /** Unit tests for NIP matching (paper Def. 3/4), including the paper's
-  * Examples 6 and 7 and the multiplicity-respecting bag assignment.
+  * Examples 6 and 7 and the multiplicity-respecting bag assignment, and
+  * for the range satisfiability the tracer's aggregate checks use.
   */
-class NipSpec extends AnyFunSuite {
+class NipSpec extends SparkSpec {
 
   private def check(p: Prop): Unit = {
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(50), p)
@@ -104,17 +106,18 @@ class NipSpec extends AnyFunSuite {
     assert(!b.matches(Seq(3, 1, 1)))
   }
 
-  test("satisfiableInRange: comparisons against [lo, hi]") {
-    assert(Nip.satisfiableInRange(NCmp(">", 0), 0, 100))
-    assert(!Nip.satisfiableInRange(NCmp(">", 100), 0, 100))
-    assert(Nip.satisfiableInRange(NCmp(">=", 100), 0, 100))
-    assert(Nip.satisfiableInRange(NCmp("<", 50), 0, 100))
-    assert(!Nip.satisfiableInRange(NCmp("<", 0), 0, 100))
-    assert(Nip.satisfiableInRange(NConst(42), 0, 100))
-    assert(!Nip.satisfiableInRange(NConst(101), 0, 100))
-    assert(Nip.satisfiableInRange(NAny, 0, 0))
-    assert(!Nip.satisfiableInRange(NCmp("!=", 5), 5, 5))
-    assert(Nip.satisfiableInRange(NCmp("!=", 5), 5, 6))
+  test("satisfiable: comparisons against [lo, hi]") {
+    val cases = Seq(
+      (NCmp(">", 0), 0, 100, true), (NCmp(">", 100), 0, 100, false),
+      (NCmp(">=", 100), 0, 100, true), (NCmp("<", 50), 0, 100, true),
+      (NCmp("<", 0), 0, 100, false), (NConst(42), 0, 100, true),
+      (NConst(101), 0, 100, false), (NAny, 0, 0, true),
+      (NCmp("!=", 5), 5, 5, false), (NCmp("!=", 5), 5, 6, true))
+    val row = spark.range(1).select(cases.map { case (n, lo, hi, _) =>
+      Nip.satisfiable(n, lit(lo), lit(hi)) }: _*).head()
+    cases.zipWithIndex.foreach { case ((n, lo, hi, want), i) =>
+      assert(row.getBoolean(i) == want, s"$n in [$lo, $hi]")
+    }
   }
 
   test("property: a bag pattern built from an instance always matches it") {
