@@ -44,36 +44,39 @@ object Placement {
     val aggCons     = Seq.newBuilder[(Int, (String, Nip))]
     val derivedCons = Seq.newBuilder[(Int, (String, Nip))]
 
-    def place(src: SourceRef, n: Nip): Unit = n match {
-      case NAny => ()
-      case prim @ (NConst(_) | NCmp(_, _)) => src match {
-        case p: SrcPath              => pathCons += p -> prim
-        case SrcAgg(id, out)         => aggCons += id -> (out, prim)
-        case SrcDerived(id, out, _)  => derivedCons += id -> (out, prim)
-        case _: SrcNested            => () // primitive constraint on a nested value — unsupported
+    // ``attr`` names the constrained value (output column, then nested
+    // fields) for the error raised when a constraint cannot be placed
+    def place(attr: String, src: SourceRef, n: Nip): Unit = {
+      def unplaceable(what: String) = throw new IllegalArgumentException(
+        s"cannot backtrace why-not constraint $n on $attr: $what ($src)")
+      def placeFields(fields: Seq[(String, Nip)]): Unit = src match {
+        case SrcNested(_, fs) => fields.foreach { case (fn, s) => place(s"$attr.$fn", fs(fn), s) }
+        case p: SrcPath       => fields.foreach { case (fn, s) => place(s"$attr.$fn", p.extend(fn), s) }
+        case _                => unplaceable("tuple pattern on an aggregate or derived value")
       }
-      case NTup(fields) => src match {
-        case SrcNested(_, fs) => fields.foreach { case (fn, s) => place(fs(fn), s) }
-        case p: SrcPath       => fields.foreach { case (fn, s) => place(p.extend(fn), s) }
-        case _                => ()
-      }
-      case NBag(elems, _) => elems.foreach {
-        case NTup(fields) => src match {
-          case SrcNested(_, fs) => fields.foreach { case (fn, s) => place(fs(fn), s) }
-          case p: SrcPath       => fields.foreach { case (fn, s) => place(p.extend(fn), s) }
-          case _                => ()
+      n match {
+        case NAny => ()
+        case prim @ (NConst(_) | NCmp(_, _)) => src match {
+          case p: SrcPath              => pathCons += p -> prim
+          case SrcAgg(id, out)         => aggCons += id -> (out, prim)
+          case SrcDerived(id, out, _)  => derivedCons += id -> (out, prim)
+          case _: SrcNested            => unplaceable("primitive constraint on a nested value")
         }
-        case NAny => () // existence of an element is witnessed by a consistent row
-        case prim => src match {
-          case p: SrcPath => pathCons += p -> prim
-          case _          => ()
+        case NTup(fields) => placeFields(fields)
+        case NBag(elems, _) => elems.foreach {
+          case NTup(fields) => placeFields(fields)
+          case NAny => () // existence of an element is witnessed by a consistent row
+          case elem => src match {
+            case p: SrcPath => pathCons += p -> elem
+            case _          => unplaceable("bag element pattern on a value that is not a table path")
+          }
         }
       }
     }
 
     nip.fields.foreach { case (col, sub) =>
       rootSources.get(col) match {
-        case Some(src) => place(src, sub)
+        case Some(src) => place(col, src, sub)
         case None => throw new IllegalArgumentException(
           s"why-not attribute $col not in output schema ${rootSources.keys.toSeq.sorted}")
       }
@@ -86,35 +89,25 @@ object Placement {
       t -> buildPattern(tableSchemas(t), cs.map { case (p, n) => (p.path, n) })
     }
 
-    // revalidation checks at flatten operators
-    val fChecks = scala.collection.mutable.Map.empty[Int, Seq[(String, Nip)]]
-    query.allOps.foreach {
-      case f: Flatten => collectFlattenChecks(f, paths, tableSchemas, fChecks)
-      case _          => ()
-    }
-
-    Placement(
-      tableNips = tableNips,
-      constrainedTables = paths.map(_._1.table).toSet,
-      flattenChecks = fChecks.toMap,
-      derivedChecks = derivedCons.result().groupBy(_._1).map { case (k, v) => k -> v.map(_._2) },
-      aggChecks = aggCons.result().groupBy(_._1).map { case (k, v) => k -> v.map(_._2) }
-    )
-  }
-
-  private def collectFlattenChecks(
-      f: Flatten, paths: Seq[(SrcPath, Nip)], tableSchemas: Map[String, StructType],
-      out: scala.collection.mutable.Map[Int, Seq[(String, Nip)]]): Unit = {
-    val attrSrc = Source.colSources(f.in, tableSchemas).get(f.attr)
-    attrSrc.foreach { s =>
-      val checks = Flattens.aliases(f, tableSchemas).flatMap { case (o, field) =>
-        Source.extendSource(s, field) match {
+    // revalidation checks at flatten operators: the path constraints on
+    // the fields each flatten promotes
+    val flattenChecks = query.allOps.collect { case f: Flatten =>
+      val attrSrc = Source.colSources(f.in, tableSchemas)(f.attr)
+      f.id -> Source.promoted(f, attrSrc, tableSchemas).flatMap { case (o, field) =>
+        Source.extendSource(attrSrc, field) match {
           case p: SrcPath => paths.collect { case (cp, n) if cp == p => (o, n) }
           case _          => Seq.empty
         }
       }
-      if (checks.nonEmpty) out(f.id) = out.getOrElse(f.id, Seq.empty) ++ checks
-    }
+    }.filter(_._2.nonEmpty).toMap
+
+    Placement(
+      tableNips = tableNips,
+      constrainedTables = paths.map(_._1.table).toSet,
+      flattenChecks = flattenChecks,
+      derivedChecks = derivedCons.result().groupBy(_._1).map { case (k, v) => k -> v.map(_._2) },
+      aggChecks = aggCons.result().groupBy(_._1).map { case (k, v) => k -> v.map(_._2) }
+    )
   }
 
   /** Build a nested NIP pattern for one table from (path, prim) pairs.

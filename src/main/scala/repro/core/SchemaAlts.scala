@@ -48,25 +48,21 @@ object SchemaAlts {
       for (a <- acc; o <- opts) yield a ++ o
     }
 
-    val origSchema = Eval.schemaOf(query, tableSchemas)
+    def schemaOf(q: Op) = Source.colSources(q, tableSchemas).keys.toSeq
+    val origSchema = schemaOf(query)
     val lookup = mkLookup(groups) _
 
     val sas = combos.flatMap { assign =>
       try {
         val (q2, changed) = substitute(query, lookup(assign), tableSchemas)
-        if (Eval.schemaOf(q2, tableSchemas) == origSchema)
-          Some((assign, q2, changed))
+        if (schemaOf(q2) == origSchema) Some(SchemaAlternative(0, q2, changed, assign))
         else None
       } catch { case _: PruneSa => None }
     }
 
     // original first, then by number of changed ops for stable indexing
-    val sorted = sas.sortBy { case (a, _, changed) =>
-      (if (a.forall(kv => kv._1 == kv._2)) 0 else 1, changed.size, a.toSeq.sorted.mkString)
-    }
-    sorted.zipWithIndex.map { case ((assign, q2, changed), i) =>
-      SchemaAlternative(i, q2, changed, assign)
-    }
+    sas.sortBy(sa => (!sa.isOriginal, sa.sr.size, sa.assignment.toSeq.sorted.mkString))
+      .zipWithIndex.map { case (sa, i) => sa.copy(index = i) }
   }
 
   private def injectiveAssignments(referenced: Seq[String],
@@ -179,7 +175,7 @@ object SchemaAlts {
 
       case f: Flatten =>
         val (c0, c1, in2) = ctx(f.in)
-        val aliases = Flattens.aliases(f, tableSchemas)
+        val aliases = Source.promoted(f, c0(f.attr), tableSchemas)
         val (attr2, al2) = flattenSubst(f.attr, aliases, c0, c1)
         mark(f.id, attr2 != f.attr || al2 != aliases)
         f.withParams(attr2, in2, Some(al2))

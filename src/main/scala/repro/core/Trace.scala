@@ -37,7 +37,6 @@ final case class Traced(
     tracked: Seq[TrackedOp],
     compat: Map[String, String],
     wnJoin: Map[Int, (String, String)],
-    tables: Set[String],
     virtual: Set[String] = Set.empty) {
   def resolve(name: String): Column =
     col(cols.getOrElse(name, throw new IllegalArgumentException(
@@ -84,7 +83,7 @@ object Trace {
       val df = src.select(
         src.columns.toSeq.map(c => src(c).as(colMap(c))) ++
           Seq(consExpr.as(consCol), compatExpr.as(compatCol), lit(true).as(aliveCol)): _*)
-      Traced(df, colMap, consCol, aliveCol, Seq.empty, Map(name -> compatCol), Map.empty, Set(name))
+      Traced(df, colMap, consCol, aliveCol, Seq.empty, Map(name -> compatCol), Map.empty)
 
     case Selection(id, pred, in) =>
       val t = go(in, catalog, placement, ts, nm, compatOverride)
@@ -118,39 +117,38 @@ object Trace {
       val t = go(in, catalog, placement, ts, nm, compatOverride)
       t.copy(cols = renames.map { case (nu, old) => nu -> t.cols(old) }.toMap)
 
-    case f @ FlattenRel(id, attr, outer, in, _) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      val x = nm.fresh("x")
-      var df = t.df.withColumn(x, explode_outer(col(t.cols(attr))))
-      val promoted = Flattens.aliases(f, ts).map { case (out, field) =>
+    case f: Flatten =>
+      val t = go(f.in, catalog, placement, ts, nm, compatOverride)
+      // a relation flatten explodes the attribute into an element column;
+      // a tuple flatten reads the attribute's fields directly
+      var df = t.df
+      val elem = f match {
+        case _: FlattenRel =>
+          val x = nm.fresh("x")
+          df = df.withColumn(x, explode_outer(col(t.cols(f.attr))))
+          col(x)
+        case _: FlattenTup => col(t.cols(f.attr))
+      }
+      val fields = Source.promoted(f, Source.colSources(f.in, ts)(f.attr), ts)
+      val promoted = fields.map { case (out, field) =>
         val pc = nm.fresh(out)
-        df = df.withColumn(pc, col(x).getField(field))
+        df = df.withColumn(pc, elem.getField(field))
         out -> pc
       }.toMap
-      val newMap = (t.cols - attr) ++ promoted
-      var t2 = t.copy(df = df, cols = newMap)
-      if (!outer) {
-        val retCol = nm.fresh(s"ret_$id"); val aliveCol = nm.fresh("alive")
-        val df2 = t2.df
-          .withColumn(retCol, col(x).isNotNull)
-          .withColumn(aliveCol, col(t2.alive) && col(retCol))
-        t2 = t2.copy(df = df2, alive = aliveCol, tracked = t2.tracked :+ TrackedOp(id, retCol))
+      var t2 = t.copy(df = df, cols = (if (f.keepsAttr) t.cols else t.cols - f.attr) ++ promoted)
+      f match {
+        // only an inner flatten can drop rows, so only it records a retained flag
+        case FlattenRel(id, _, false, _, _) =>
+          val retCol = nm.fresh(s"ret_$id"); val aliveCol = nm.fresh("alive")
+          val df2 = t2.df
+            .withColumn(retCol, elem.isNotNull)
+            .withColumn(aliveCol, col(t2.alive) && col(retCol))
+          t2 = t2.copy(df = df2, alive = aliveCol, tracked = t2.tracked :+ TrackedOp(id, retCol))
+        case _ => ()
       }
-      val checks = placement.flattenChecks.getOrElse(id, Seq.empty)
+      val checks = placement.flattenChecks.getOrElse(f.id, Seq.empty)
       val (df3, cons2) = addChecks(t2.df, t2.consistent, checks.map { case (o, n) => (promoted(o), n) }, nm)
       t2.copy(df = df3, consistent = cons2)
-
-    case f @ FlattenTup(id, attr, in, _) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      var df = t.df
-      val promoted = Flattens.aliases(f, ts).map { case (out, field) =>
-        val pc = nm.fresh(out)
-        df = df.withColumn(pc, col(t.cols(attr)).getField(field))
-        out -> pc
-      }.toMap
-      val checks = placement.flattenChecks.getOrElse(id, Seq.empty)
-      val (df2, cons2) = addChecks(df, t.consistent, checks.map { case (o, n) => (promoted(o), n) }, nm)
-      t.copy(df = df2, cols = t.cols ++ promoted, consistent = cons2)
 
     case Join(id, kind, conds, l, r) =>
       val tl = go(l, catalog, placement, ts, nm, compatOverride)
@@ -202,8 +200,7 @@ object Trace {
 
       Traced(df, tl.cols ++ tr.cols, consCol, aliveCol,
         tl.tracked ++ tr.tracked :+ TrackedOp(id, retCol),
-        tl.compat ++ tr.compat, tl.wnJoin ++ tr.wnJoin + (id -> (wnL, wnR)),
-        tl.tables ++ tr.tables)
+        tl.compat ++ tr.compat, tl.wnJoin ++ tr.wnJoin + (id -> (wnL, wnR)))
 
     case Agg(id, groupBy, aggs, in) =>
       val t = go(in, catalog, placement, ts, nm, compatOverride)

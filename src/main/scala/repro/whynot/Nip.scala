@@ -44,7 +44,6 @@ object Nip {
   /** {{e1, …, en, *}} builder. */
   def bagStar(elems: Nip*): NBag = NBag(elems, star = true)
   def bag(elems: Nip*): NBag = NBag(elems, star = false)
-  def const(v: Any): NConst = NConst(v)
 
   private[whynot] def primEq(a: Any, b: Any): Boolean = (a, b) match {
     case (x: Number, y: Number) => x.doubleValue == y.doubleValue

@@ -89,6 +89,20 @@ class PlacementSpec extends AnyFunSuite {
     }
   }
 
+  test("constraints that cannot be backtraced are rejected, naming the attribute") {
+    val nested = NestRel(1, Seq("v"), "vs", Projection(2, ProjCol.keep("k", "v"), TableAccess(0, "r")))
+    val agg = Agg(1, Agg.keys("k"), Seq(AggSpec(AggFunc.Count, "v", "n")), TableAccess(0, "r"))
+    val cases = Seq(
+      (nested, Nip.tup("vs" -> NConst(1)), "primitive constraint on a nested value"),
+      (agg, Nip.tup("n" -> Nip.tup("x" -> NConst(1))), "tuple pattern on an aggregate"),
+      (nested, Nip.tup("vs" -> Nip.bagStar(NConst("hit"))), "bag element pattern"))
+    cases.foreach { case (q, nip, why) =>
+      val e = intercept[IllegalArgumentException](Placement.backtrace(q, nip, ts))
+      assert(e.getMessage.contains(why), e.getMessage)
+      assert(e.getMessage.contains(s"on ${nip.fields.head._1}:"), e.getMessage)
+    }
+  }
+
   test("NAny constraints place nothing") {
     val q = TableAccess(0, "r")
     val p = Placement.backtrace(q, Nip.tup("k" -> NAny, "v" -> NAny), ts)

@@ -68,6 +68,31 @@ class SourceSpec extends AnyFunSuite {
     assert(e.getMessage.contains("no nested type at w.c1"))
   }
 
+  test("a flatten with aliases over an aggregate output is rejected by name") {
+    val q = FlattenTup(2, "total", Agg(1, Seq("k" -> "c1"),
+      Seq(AggSpec(AggFunc.Sum, "c2", "total")), TableAccess(0, "w")), aliases = Some(Seq("t" -> "t")))
+    val e = intercept[IllegalArgumentException](Source.colSources(q, ts))
+    assert(e.getMessage.contains("no nested type at SrcAgg(1,total)"))
+  }
+
+  test("a join whose inputs share a column name is rejected like Eval's join") {
+    val q = Join(1, JoinKind.Inner, Seq("c1" -> "c1"), TableAccess(0, "w"), TableAccess(2, "w"))
+    val e = intercept[IllegalArgumentException](Source.colSources(q, ts))
+    assert(e.getMessage.contains("join inputs must have disjoint columns"))
+  }
+
+  test("sources are keyed in output-column order; nested fields in field order") {
+    val q = NestTup(3, Seq("z" -> "f", "a" -> "g"), "packed",
+      Projection(2, ProjCol.keep("c2", "g", "c1", "pair", "f"),
+        FlattenRel(1, "bag", outer = false, TableAccess(0, "w"))))
+    val s = Source.colSources(q, ts)
+    assert(s.keys.toSeq == Seq("c2", "c1", "pair", "packed"))
+    assert(Source.fieldsOf(s("packed"), ts) == Seq("z", "a"))
+    assert(Source.fieldsOf(s("pair"), ts) == Seq("p", "q"))
+    assert(Source.colSources(FlattenRel(1, "bag", outer = false, TableAccess(0, "w")), ts)
+      .keys.toSeq == Seq("c1", "c2", "pair", "f", "g"))
+  }
+
   test("join merges both sides' sources") {
     val ts2 = ts + ("v" -> StructType.fromDDL("d1 INT"))
     val q = Join(1, JoinKind.Inner, Seq("c1" -> "d1"),

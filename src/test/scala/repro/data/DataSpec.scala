@@ -2,6 +2,7 @@ package repro.data
 
 import org.apache.spark.sql.types.{ArrayType, DataType, StructType}
 import repro.{SparkSpec, SynthData}
+import repro.core.Source
 import repro.nrab._
 
 /** Sanity checks for the synthetic data generators (DESIGN.md §4):
@@ -102,10 +103,9 @@ class DataSpec extends SparkSpec {
       val path = dotted.split('.').toSeq
       val leaf = path.foldLeft(ts(table): DataType)((dt, f) => dt.asInstanceOf[StructType](f).dataType)
       assert(leaf.isInstanceOf[ArrayType] == rel, s"$table.$dotted: $leaf")
-      // the flatten's promoted fields, reached through tuple flattens of the path's prefix
+      // the attribute's nested fields, reached through tuple flattens of the path's prefix
       val in = path.init.foldLeft(TableAccess(0, table): Op)((op, a) => FlattenTup(1, a, op))
-      val f = if (rel) FlattenRel(2, path.last, outer = false, in) else FlattenTup(2, path.last, in)
-      assert(Flattens.aliases(f, ts).map(_._2) == fields, s"$table.$dotted")
+      assert(Source.fieldsOf(Source.colSources(in, ts)(path.last), ts) == fields, s"$table.$dotted")
     }
   }
 

@@ -2,6 +2,7 @@ package repro.nrab
 
 import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec, SynthData}
+import repro.core.Source
 import repro.data.Person
 
 /** Operator-by-operator correctness of the NRAB evaluator. Flat-relational
@@ -211,7 +212,14 @@ class EvalSpec extends SparkSpec {
         Selection(2, Pred.ge("year", 2019),
           FlattenRel(1, "address2", outer = false, TableAccess(0, "person")))))
     val ts = person.map { case (n, df) => n -> df.schema }
-    assert(Eval.schemaOf(q, ts) == Eval(q, person).columns.toSeq)
+    assert(Source.colSources(q, ts).keys.toSeq == Eval(q, person).columns.toSeq)
+  }
+
+  test("flattening a column that is not nested is rejected by name") {
+    val e = intercept[IllegalArgumentException] {
+      Eval(FlattenTup(1, "name", TableAccess(0, "person")), person)
+    }
+    assert(e.getMessage.contains("no nested type at name"))
   }
 
   test("join rejects overlapping column names") {

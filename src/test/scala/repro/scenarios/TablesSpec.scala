@@ -1,6 +1,8 @@
 package repro.scenarios
 
 import repro.SparkSpec
+import repro.core.{SchemaAlts, Source}
+import repro.nrab.{Eval, Flatten}
 
 /** Aggregate reproduction of the paper's evaluation tables at unit-test
   * scale: Table 7 (counts + gold ranks), Table 3 (operator types per
@@ -11,6 +13,21 @@ class TablesSpec extends SparkSpec {
 
   private lazy val all = Tables.scenarios(spark)
   private lazy val results = Tables.run(all)
+
+  test("schema calculus agrees with Eval on every scenario query and schema alternative") {
+    all.foreach { s =>
+      val q = s.question; val ts = q.tableSchemas
+      val queries = q.query +: SchemaAlts.enumerate(q.query, q.altGroups, ts).map(_.query)
+      queries.foreach { op =>
+        assert(Source.colSources(op, ts).keys.toSeq == Eval(op, q.tables).columns.toSeq, s.name)
+        op.allOps.collect { case f: Flatten if f.aliases.isEmpty => f }.foreach { f =>
+          val promoted = Source.promoted(f, Source.colSources(f.in, ts)(f.attr), ts).map(_._2)
+          val actual = Eval.elementStruct(Eval(f.in, q.tables).schema(f.attr).dataType)
+          assert(actual.map(_.fieldNames.toSeq).contains(promoted), s"${s.name} ${f.label}")
+        }
+      }
+    }
+  }
 
   test("Table 7: explanation counts match the paper for every scenario") {
     val paper = Tables.paperTable7.map(p => p._1 -> p).toMap
