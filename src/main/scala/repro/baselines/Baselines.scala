@@ -59,7 +59,7 @@ object Baselines {
   private def deaths(q: Question): Seq[Death] = {
     val ts = q.tableSchemas
     val placement = Placement.backtrace(q.query, q.nip, ts)
-    val traced = Trace.trace(q.query, q.tables, placement, ts, q.baselineCompat)
+    val traced = Trace.lineage(q.query, q.tables, placement, ts, q.baselineCompat)
 
     val allTables = q.query.allOps.collect { case TableAccess(_, n) => n }.distinct
     val traceTables = q.wnTraceTables.getOrElse {

@@ -52,20 +52,27 @@ object Explain {
     run(q, Seq(SchemaAlternative(0, q.query, Set.empty, Map.empty)), ts)
   }
 
+  /** Trace the alternatives, one traced relation and one witness query
+    * per row grain ([[Trace.rowGrain]]), and collect their explanations.
+    */
   private def run(q: Question, sas: Seq[SchemaAlternative],
                   ts: Map[String, StructType]): Seq[Explanation] = {
     val found = scala.collection.mutable.Map.empty[Set[Int], Explanation]
+    val placed = sas.map(sa => sa -> Placement.backtrace(sa.query, q.nip, ts))
+    val groups = placed.groupBy { case (sa, _) => Trace.rowGrain(sa.query, ts) }
+      .values.toSeq.sortBy(_.head._1.index)
 
-    sas.foreach { sa =>
-      val placement = Placement.backtrace(sa.query, q.nip, ts)
-      val traced    = Trace.trace(sa.query, q.tables, placement, ts)
-      witnessFailSets(traced).foreach { case (failSet, n) =>
-        val ops = sa.sr ++ failSet
-        if (ops.nonEmpty) {
-          found(ops) = found.get(ops) match {
-            case Some(prev) => prev.copy(saIndex = math.min(prev.saIndex, sa.index),
-                                         witnesses = prev.witnesses + n)
-            case None => Explanation(ops, ops.map(labelOf(q.query, _)), sa.index, n)
+    groups.foreach { group =>
+      val lanes = Trace.group(group.map { case (sa, p) => sa.query -> p }, q.tables, ts)
+      group.map(_._1).zip(witnessFailSets(lanes)).foreach { case (sa, failSets) =>
+        failSets.foreach { case (failSet, n) =>
+          val ops = sa.sr ++ failSet
+          if (ops.nonEmpty) {
+            found(ops) = found.get(ops) match {
+              case Some(prev) => prev.copy(saIndex = math.min(prev.saIndex, sa.index),
+                                           witnesses = prev.witnesses + n)
+              case None => Explanation(ops, ops.map(labelOf(q.query, _)), sa.index, n)
+            }
           }
         }
       }
@@ -76,19 +83,24 @@ object Explain {
   /** Distinct failure sets over consistent witness rows, with support
     * counts: exactly the set Alg. 4 enumerates (DESIGN.md §2).
     */
-  def witnessFailSets(traced: Traced): Seq[(Set[Int], Long)] = {
-    if (traced.tracked.isEmpty) {
-      val n = traced.df.filter(col(traced.consistent)).count()
-      return if (n > 0) Seq((Set.empty[Int], n)) else Seq.empty
-    }
-    val flags = traced.tracked.map(t => coalesce(col(t.retCol), lit(false)).as(t.retCol))
-    val rows = traced.df.filter(col(traced.consistent))
-      .groupBy(flags: _*).count().collect()
-    rows.toSeq.map { r =>
-      val failSet = traced.tracked.zipWithIndex.collect {
-        case (t, i) if !r.getBoolean(i) => t.opId
-      }.toSet
-      (failSet, r.getLong(traced.tracked.size))
+  def witnessFailSets(traced: Traced): Seq[(Set[Int], Long)] = witnessFailSets(Seq(traced)).head
+
+  /** [[witnessFailSets]] of every lane of one traced group, in one query:
+    * one `groupBy` over the distinct consistency and retained-flag columns
+    * of all lanes counts the rows consistent in any lane, and each lane
+    * reads its failure sets off the groups it is consistent in.
+    */
+  def witnessFailSets(lanes: Seq[Traced]): Seq[Seq[(Set[Int], Long)]] = {
+    val df = lanes.head.df
+    require(lanes.forall(_.df eq df), "witness lanes must share one traced relation")
+    val flags = lanes.flatMap(t => t.consistent +: t.tracked.map(_.retCol)).distinct
+    val at = flags.zipWithIndex.toMap
+    val rows = df.filter(lanes.map(t => col(t.consistent)).reduce(_ || _))
+      .groupBy(flags.map(f => coalesce(col(f), lit(false)).as(f)): _*).count().collect().toSeq
+    lanes.map { t =>
+      rows.filter(_.getBoolean(at(t.consistent))).groupMapReduce { r =>
+        t.tracked.collect { case op if !r.getBoolean(at(op.retCol)) => op.opId }.toSet
+      }(_.getLong(flags.size))(_ + _).toSeq
     }
   }
 

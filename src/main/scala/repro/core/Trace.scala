@@ -6,6 +6,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StructType
 import repro.nrab._
 import repro.whynot.Nip
+import scala.collection.mutable
 
 /** One tracked (reparameterizable, tuple-pruning) operator of the traced
   * pipeline with the physical column holding its retained flag.
@@ -13,7 +14,9 @@ import repro.whynot.Nip
 final case class TrackedOp(opId: Int, retCol: String)
 
 /** The annotated relation produced by data tracing (paper §5.3) for ONE
-  * schema alternative, kept at row grain end-to-end:
+  * schema alternative, kept at row grain end-to-end. Alternatives of the
+  * same row grain are traced together ([[Trace.group]]): they share
+  * ``df`` and each reads its own columns of it.
   *
   *  - ``cols``       algebra column name -> physical column
   *  - ``consistent`` cumulative revalidated compatibility (paper's
@@ -28,6 +31,9 @@ final case class TrackedOp(opId: Int, retCol: String)
   *                   revalidation (for the lineage-based baselines)
   *  - ``wnJoin``     per join: original-world partner-existence flags for
   *                   the left/right lineage (baseline path deaths)
+  *
+  * ``compat`` and ``wnJoin`` are built only by [[Trace.lineage]], the
+  * baselines' trace; they are empty otherwise.
   */
 final case class Traced(
     df: DataFrame,
@@ -35,227 +41,307 @@ final case class Traced(
     consistent: String,
     alive: String,
     tracked: Seq[TrackedOp],
-    compat: Map[String, String],
-    wnJoin: Map[Int, (String, String)],
+    compat: Map[String, String] = Map.empty,
+    wnJoin: Map[Int, (String, String)] = Map.empty,
     virtual: Set[String] = Set.empty) {
   def resolve(name: String): Column =
     col(cols.getOrElse(name, throw new IllegalArgumentException(
       s"unresolvable attribute $name (have ${cols.keys.toSeq.sorted.mkString(", ")})")))
 }
 
+/** An input the tracer cannot handle (outside paper §5.5's restrictions);
+  * ``opLabel`` names the operator.
+  */
+final class UnsupportedTraceInput(val opLabel: String, reason: String)
+    extends UnsupportedOperationException(s"cannot trace $opLabel: $reason")
+
+/** The queries traced as one group resolve a row-grain column (a relation
+  * flatten's attribute or a join key) to different physical columns, so
+  * they cannot share one traced relation.
+  */
+final class RowGrainMismatch(msg: String) extends IllegalArgumentException(msg)
+
 object Trace {
 
   /** Trace ``query`` (already substituted for one SA) over ``catalog``
-    * with the constraints of ``placement``. ``compatOverride`` replaces
-    * the t̄-based source compatibility predicate per table (used by the
-    * lineage baselines, whose notion of compatibility can be coarser).
+    * with the constraints of ``placement``: the one-query group.
     */
   def trace(query: Op, catalog: Map[String, DataFrame], placement: Placement,
-            tableSchemas: Map[String, StructType],
-            compatOverride: Map[String, Pred] = Map.empty): Traced = {
-    val namer = new Namer
-    go(query, catalog, placement, tableSchemas, namer, compatOverride)
-  }
+            tableSchemas: Map[String, StructType]): Traced =
+    group(Seq(query -> placement), catalog, tableSchemas).head
 
-  private final class Namer {
-    private var n = 0
-    def fresh(hint: String): String = { n += 1; s"__c${n}_$hint" }
+  /** Trace ``queries`` — alternatives of one query with equal
+    * [[rowGrain]], each with its placement — in ONE annotated relation
+    * (paper §6.3, Fig. 11). Table scans, explodes and joins are shared;
+    * every operator adds all queries' annotation columns in one select,
+    * and queries computing an identical annotation share its column.
+    * Returns one [[Traced]] per query, in order, all over the same ``df``.
+    */
+  def group(queries: Seq[(Op, Placement)], catalog: Map[String, DataFrame],
+            tableSchemas: Map[String, StructType]): Seq[Traced] =
+    new Tracer(catalog, queries.map(_._2), tableSchemas, lineage = None).go(queries.map(_._1))
+
+  /** Trace ``query`` with the lineage annotations the baselines read
+    * (``compat`` and ``wnJoin``). ``compatOverride`` replaces the
+    * t̄-based source compatibility predicate per table (the lineage
+    * baselines' notion of compatibility can be coarser).
+    */
+  def lineage(query: Op, catalog: Map[String, DataFrame], placement: Placement,
+              tableSchemas: Map[String, StructType],
+              compatOverride: Map[String, Pred] = Map.empty): Traced =
+    new Tracer(catalog, Seq(placement), tableSchemas, Some(compatOverride)).go(Seq(query)).head
+
+  /** The row grain of ``query``'s trace: the provenance of every relation
+    * flatten's attribute and every join key. Selections, projections,
+    * renamings, aggregations (row-grain windows), tuple flattens and
+    * nestings keep the tracer's rows, so alternatives of one query with
+    * equal row grain trace the same rows and can share one [[group]].
+    */
+  def rowGrain(query: Op, tableSchemas: Map[String, StructType]): Seq[(Int, Seq[SourceRef])] = {
+    def src(op: Op) = Source.colSources(op, tableSchemas)
+    query.allOps.collect {
+      case f: FlattenRel => f.id -> Seq(src(f.in)(f.attr))
+      case j: Join =>
+        val (ls, rs) = (src(j.left), src(j.right))
+        j.id -> j.conds.flatMap { case (a, b) => Seq(ls(a), rs(b)) }
+    }
   }
 
   private def bool(c: Column): Column = coalesce(c, lit(false))
 
-  private def go(op: Op, catalog: Map[String, DataFrame], placement: Placement,
-                 ts: Map[String, StructType], nm: Namer,
-                 compatOverride: Map[String, Pred]): Traced = op match {
+  /** One trace over the lanes ``placements`` (one per traced query).
+    * ``lineage`` holds the compat overrides when the baselines' lineage
+    * annotations are wanted.
+    */
+  private final class Tracer(catalog: Map[String, DataFrame], placements: Seq[Placement],
+                             ts: Map[String, StructType], lineage: Option[Map[String, Pred]]) {
+    private var n = 0
+    private def fresh(hint: String): String = { n += 1; s"__c${n}_$hint" }
 
-    case TableAccess(_, name) =>
+    /** ``keep`` plus the (name hint, expression) pairs ``cols`` in one
+      * select over ``df``; an expression several lanes compute becomes one
+      * column. Returns the physical column of each expression.
+      */
+    private def emit(df: DataFrame, cols: Seq[(String, Column)],
+                     keep: Seq[Column] = Seq(col("*"))): (DataFrame, Map[Column, String]) = {
+      val named = mutable.LinkedHashMap.empty[Column, String]
+      cols.foreach { case (hint, c) => named.getOrElseUpdate(c, fresh(hint)) }
+      (if (named.isEmpty) df else df.select(keep ++ named.map { case (c, pc) => c.as(pc) }: _*), named.toMap)
+    }
+
+    /** The one physical column all lanes resolve ``what`` of ``op`` to. */
+    private def shared(op: Op, what: String, physical: Seq[String]): String =
+      if (physical.distinct.size == 1) physical.head
+      else throw new RowGrainMismatch(
+        s"traced queries resolve the $what of ${op.label} to different columns (${physical.distinct.mkString(", ")})")
+
+    /** Lane ``t``'s consistency flag conjoined with ``checks`` (null-safe);
+      * None when there is nothing to check.
+      */
+    private def checked(t: Traced, checks: Seq[Column]): Option[Column] =
+      checks.reduceOption(_ && _).map(c => col(t.consistent) && bool(c))
+
+    /** Trace ``ops`` — the same operator of every lane's query. */
+    def go(ops: Seq[Op]): Seq[Traced] = {
+      val op = ops.head
+      if (ops.exists(o => o.id != op.id || o.getClass != op.getClass))
+        throw new IllegalArgumentException(
+          s"traced queries differ in shape at ${ops.map(_.label).distinct.mkString(", ")}")
+      op match {
+        case TableAccess(_, name) => table(name)
+        case _: Selection  => selection(ops.collect { case s: Selection => s })
+        case _: Projection => projection(ops.collect { case p: Projection => p })
+        case _: Renaming =>
+          val rs = ops.collect { case r: Renaming => r }
+          go(rs.map(_.in)).zip(rs).map { case (t, r) =>
+            t.copy(cols = r.renames.map { case (nu, old) => nu -> t.cols(old) }.toMap)
+          }
+        case _: Flatten    => flatten(ops.collect { case f: Flatten => f })
+        case _: Join       => join(ops.collect { case j: Join => j })
+        case _: Agg        => agg(ops.collect { case a: Agg => a })
+        // Nesting keeps row grain in the tracer: the group members stay
+        // visible and the element constraints were already pushed to them
+        // by backtracing; the nested attribute becomes a *virtual* column
+        // that downstream projections may pass through but no predicate
+        // may read.
+        case _: NestRel | _: NestTup =>
+          val outs = ops.collect { case r: NestRel => r.out; case r: NestTup => r.out }
+          go(ops.flatMap(_.children)).zip(outs).map { case (t, o) => t.copy(virtual = t.virtual + o) }
+        case _: Dedup => go(ops.flatMap(_.children))
+        case u: UnionOp =>
+          throw new UnsupportedTraceInput(u.label, "the row-grain tracer does not trace through a union")
+      }
+    }
+
+    private def table(name: String): Seq[Traced] = {
       val src = catalog(name)
-      val colMap = src.columns.map(c => c -> nm.fresh(c)).toMap
-      val consCol = nm.fresh("consistent"); val aliveCol = nm.fresh("alive")
-      val compatCol = nm.fresh(s"compat_$name")
-      val consExpr = bool(Nip.toColumn(placement.nipFor(name), n => src(n)))
+      val colMap = src.columns.map(c => c -> fresh(c)).toMap
       // compat-override predicates may use dotted paths into structs
-      def dotted(n: String): Column = {
-        val parts = n.split('.'); parts.tail.foldLeft(src(parts.head))(_.getField(_))
+      def dotted(p: String): Column = {
+        val parts = p.split('.'); parts.tail.foldLeft(src(parts.head))(_.getField(_))
       }
-      val compatExpr = compatOverride.get(name)
-        .map(p => bool(p.toColumn(dotted))).getOrElse(consExpr)
-      val df = src.select(
-        src.columns.toSeq.map(c => src(c).as(colMap(c))) ++
-          Seq(consExpr.as(consCol), compatExpr.as(compatCol), lit(true).as(aliveCol)): _*)
-      Traced(df, colMap, consCol, aliveCol, Seq.empty, Map(name -> compatCol), Map.empty)
+      val cons = placements.map(pl => bool(Nip.toColumn(pl.nipFor(name), c => src(c))))
+      val compat = lineage.map(overrides => cons.map(c =>
+        overrides.get(name).map(p => bool(p.toColumn(dotted))).getOrElse(c)))
+      val (df, pc) = emit(src,
+        cons.map("consistent" -> _) ++ Seq("alive" -> lit(true)) ++ compat.toSeq.flatten.map(s"compat_$name" -> _),
+        keep = src.columns.toSeq.map(c => src(c).as(colMap(c))))
+      cons.indices.map { k =>
+        Traced(df, colMap, pc(cons(k)), pc(lit(true)), Seq.empty,
+          compat = compat.fold(Map.empty[String, String])(cs => Map(name -> pc(cs(k)))))
+      }
+    }
 
-    case Selection(id, pred, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      val retCol = nm.fresh(s"ret_$id"); val aliveCol = nm.fresh("alive")
-      val df = t.df
-        .withColumn(retCol, bool(pred.toColumn(t.resolve)))
-        .withColumn(aliveCol, col(t.alive) && col(retCol))
-      t.copy(df = df, alive = aliveCol, tracked = t.tracked :+ TrackedOp(id, retCol))
+    private def selection(ss: Seq[Selection]): Seq[Traced] = {
+      val in = go(ss.map(_.in))
+      val id = ss.head.id
+      val rets = in.zip(ss).map { case (t, s) => bool(s.pred.toColumn(t.resolve)) }
+      val alives = in.zip(rets).map { case (t, ret) => col(t.alive) && ret }
+      val (df, pc) = emit(in.head.df, rets.map(s"ret_$id" -> _) ++ alives.map("alive" -> _))
+      in.indices.map { k =>
+        in(k).copy(df = df, alive = pc(alives(k)), tracked = in(k).tracked :+ TrackedOp(id, pc(rets(k))))
+      }
+    }
 
-    case Projection(id, cols, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      var df = t.df
-      var virt = Set.empty[String]
-      val newMap = cols.flatMap { c =>
-        c.expr match {
-          // nesting outputs have no physical column at row grain; they
-          // stay virtual and pass through projections untouched
-          case Attr(n) if t.virtual.contains(n) => virt += c.out; None
-          case Attr(n) => Some(c.out -> t.cols(n))
-          case e =>
-            val pc = nm.fresh(c.out)
-            df = df.withColumn(pc, e.toColumn(t.resolve))
-            Some(c.out -> pc)
-        }
-      }.toMap
-      val checks = placement.derivedChecks.getOrElse(id, Seq.empty)
-      val (df2, cons2) = addChecks(df, t.consistent, checks.map { case (o, n) => (newMap(o), n) }, nm)
-      t.copy(df = df2, cols = newMap, consistent = cons2, virtual = virt)
+    private def projection(ps: Seq[Projection]): Seq[Traced] = {
+      val in = go(ps.map(_.in))
+      // per lane: kept columns (physical), derived expressions and the
+      // revalidated consistency; nesting outputs have no physical column
+      // at row grain, so they stay virtual and pass through untouched
+      val lanes = in.zip(ps).zip(placements).map { case ((t, p), pl) =>
+        val kept = p.cols.collect { case ProjCol(o, Attr(a)) if !t.virtual(a) => o -> t.cols(a) }
+        val virt = p.cols.collect { case ProjCol(o, Attr(a)) if t.virtual(a) => o }.toSet
+        val derived = p.cols.filterNot(_.expr.isInstanceOf[Attr]).map(c => c.out -> c.expr.toColumn(t.resolve))
+        val value = kept.map { case (o, pc) => o -> col(pc) }.toMap ++ derived
+        val checks = pl.derivedChecks.getOrElse(p.id, Seq.empty).map { case (o, nip) => Nip.primColumn(nip, value(o)) }
+        (kept, virt, derived, checked(t, checks))
+      }
+      val (df, pc) = emit(in.head.df, lanes.flatMap { case (_, _, derived, cons) =>
+        derived ++ cons.map("consistent" -> _)
+      })
+      in.zip(lanes).map { case (t, (kept, virt, derived, cons)) =>
+        t.copy(df = df, cols = (kept ++ derived.map { case (o, c) => o -> pc(c) }).toMap, virtual = virt,
+          consistent = cons.map(pc).getOrElse(t.consistent))
+      }
+    }
 
-    case Renaming(_, renames, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      t.copy(cols = renames.map { case (nu, old) => nu -> t.cols(old) }.toMap)
-
-    case f: Flatten =>
-      val t = go(f.in, catalog, placement, ts, nm, compatOverride)
-      // a relation flatten explodes the attribute into an element column;
-      // a tuple flatten reads the attribute's fields directly
-      var df = t.df
-      val elem = f match {
+    private def flatten(fs: Seq[Flatten]): Seq[Traced] = {
+      val in = go(fs.map(_.in))
+      val f0 = fs.head
+      // a relation flatten explodes the (shared) attribute into an element
+      // column; a tuple flatten reads each lane's attribute directly
+      val (df0, elems) = f0 match {
         case _: FlattenRel =>
-          val x = nm.fresh("x")
-          df = df.withColumn(x, explode_outer(col(t.cols(f.attr))))
-          col(x)
-        case _: FlattenTup => col(t.cols(f.attr))
+          val attr = shared(f0, "flattened attribute", in.zip(fs).map { case (t, f) => t.cols(f.attr) })
+          val x = fresh("x")
+          (in.head.df.select(col("*"), explode_outer(col(attr)).as(x)), fs.map(_ => col(x)))
+        case _: FlattenTup => (in.head.df, in.zip(fs).map { case (t, f) => col(t.cols(f.attr)) })
       }
-      val fields = Source.promoted(f, Source.colSources(f.in, ts)(f.attr), ts)
-      val promoted = fields.map { case (out, field) =>
-        val pc = nm.fresh(out)
-        df = df.withColumn(pc, elem.getField(field))
-        out -> pc
-      }.toMap
-      var t2 = t.copy(df = df, cols = (if (f.keepsAttr) t.cols else t.cols - f.attr) ++ promoted)
-      f match {
-        // only an inner flatten can drop rows, so only it records a retained flag
-        case FlattenRel(id, _, false, _, _) =>
-          val retCol = nm.fresh(s"ret_$id"); val aliveCol = nm.fresh("alive")
-          val df2 = t2.df
-            .withColumn(retCol, elem.isNotNull)
-            .withColumn(aliveCol, col(t2.alive) && col(retCol))
-          t2 = t2.copy(df = df2, alive = aliveCol, tracked = t2.tracked :+ TrackedOp(id, retCol))
-        case _ => ()
+      // only an inner flatten can drop rows, so only it records a retained flag
+      val ret = f0 match {
+        case FlattenRel(_, _, false, _, _) => Some(elems.head.isNotNull)
+        case _                             => None
       }
-      val checks = placement.flattenChecks.getOrElse(f.id, Seq.empty)
-      val (df3, cons2) = addChecks(t2.df, t2.consistent, checks.map { case (o, n) => (promoted(o), n) }, nm)
-      t2.copy(df = df3, consistent = cons2)
+      val lanes = in.zip(fs).zip(elems).zip(placements).map { case (((t, f), elem), pl) =>
+        val promoted = Source.promoted(f, Source.colSources(f.in, ts)(f.attr), ts)
+          .map { case (o, field) => o -> elem.getField(field) }
+        val checks = pl.flattenChecks.getOrElse(f.id, Seq.empty)
+          .map { case (o, nip) => Nip.primColumn(nip, promoted.toMap.apply(o)) }
+        (promoted, ret.map(col(t.alive) && _), checked(t, checks))
+      }
+      val (df, pc) = emit(df0, ret.map(s"ret_${f0.id}" -> _).toSeq ++ lanes.flatMap { case (promoted, alive, cons) =>
+        promoted ++ alive.map("alive" -> _) ++ cons.map("consistent" -> _)
+      })
+      in.zip(fs).zip(lanes).map { case ((t, f), (promoted, alive, cons)) =>
+        t.copy(df = df,
+          cols = (if (f.keepsAttr) t.cols else t.cols - f.attr) ++ promoted.map { case (o, c) => o -> pc(c) },
+          alive = alive.map(pc).getOrElse(t.alive),
+          tracked = t.tracked ++ ret.map(r => TrackedOp(f.id, pc(r))),
+          consistent = cons.map(pc).getOrElse(t.consistent))
+      }
+    }
 
-    case Join(id, kind, conds, l, r) =>
-      val tl = go(l, catalog, placement, ts, nm, compatOverride)
-      val tr = go(r, catalog, placement, ts, nm, compatOverride)
-      val (pl, pr)    = (nm.fresh("pL"), nm.fresh("pR"))
-      val (lrid, rrid) = (nm.fresh("lrid"), nm.fresh("rrid"))
-      val ldf = tl.df.withColumn(pl, lit(1)).withColumn(lrid, monotonically_increasing_id())
-      val rdf = tr.df.withColumn(pr, lit(1)).withColumn(rrid, monotonically_increasing_id())
-      val cond = conds.map { case (a, b) => ldf(tl.cols(a)) === rdf(tr.cols(b)) }
-        .reduceOption(_ && _).getOrElse(lit(true))
-      var df = ldf.join(rdf, cond, "full_outer")
+    private def join(js: Seq[Join]): Seq[Traced] = {
+      val (ls, rs) = (go(js.map(_.left)), go(js.map(_.right)))
+      val j0 = js.head
+      val keys = j0.conds.indices.map { i =>
+        (shared(j0, "left join key", ls.zip(js).map { case (t, j) => t.cols(j.conds(i)._1) }),
+         shared(j0, "right join key", rs.zip(js).map { case (t, j) => t.cols(j.conds(i)._2) }))
+      }
+      // a presence flag per side, plus per-side row ids for the baselines'
+      // partner windows
+      def side(df: DataFrame, hint: String): (DataFrame, String, Option[String]) = {
+        val rid = lineage.map(_ => monotonically_increasing_id())
+        val (d, pc) = emit(df, Seq(s"p$hint" -> lit(1)) ++ rid.map(s"${hint}rid" -> _))
+        (d, pc(lit(1)), rid.map(pc))
+      }
+      val (ldf, pl, lrid) = side(ls.head.df, "L")
+      val (rdf, pr, rrid) = side(rs.head.df, "R")
+      val cond = keys.map { case (a, b) => ldf(a) === rdf(b) }.reduceOption(_ && _).getOrElse(lit(true))
+      val joined = ldf.join(rdf, cond, "full_outer")
 
       val hasL = col(pl).isNotNull; val hasR = col(pr).isNotNull
-      val lKeyNull = conds.map { case (a, _) => col(tl.cols(a)).isNull }
-        .reduceOption(_ || _).getOrElse(lit(false))
-      val rKeyNull = conds.map { case (_, b) => col(tr.cols(b)).isNull }
-        .reduceOption(_ || _).getOrElse(lit(false))
-
+      val lKeyNull = keys.map { case (a, _) => col(a).isNull }.reduceOption(_ || _).getOrElse(lit(false))
+      val rKeyNull = keys.map { case (_, b) => col(b).isNull }.reduceOption(_ || _).getOrElse(lit(false))
       // retained under the *original* join type, evaluated on the traced
       // (relaxed) inputs; rows padded because an upstream operator punched
       // a hole (null keys from padding) are not this join's fault.
-      val baseRet = kind match {
+      val baseRet = j0.kind match {
         case JoinKind.Inner => hasL && hasR
         case JoinKind.Left  => hasL
         case JoinKind.Right => hasR
         case JoinKind.Full  => lit(true)
       }
-      val retCol = nm.fresh(s"ret_$id")
-      df = df.withColumn(retCol, baseRet || (hasL && lKeyNull) || (hasR && rKeyNull))
+      val ret = baseRet || (hasL && lKeyNull) || (hasR && rKeyNull)
 
-      // original-world survival of a pairing: both sides alive and matched
-      val aliveCol = nm.fresh("alive")
-      df = df.withColumn(aliveCol,
-        bool(col(tl.alive)) && bool(col(tr.alive)) && hasL && hasR)
-
-      // original-world partner existence per lineage side (baselines)
-      val wL = Window.partitionBy(col(lrid)); val wR = Window.partitionBy(col(rrid))
-      val (wnL, wnR) = (nm.fresh(s"wnL_$id"), nm.fresh(s"wnR_$id"))
-      df = df
-        .withColumn(wnL, (max(when(hasR && bool(col(tr.alive)), 1).otherwise(0)).over(wL) === 1) || lKeyNull)
-        .withColumn(wnR, (max(when(hasL && bool(col(tl.alive)), 1).otherwise(0)).over(wR) === 1) || rKeyNull)
-
-      val lConstrained = isConstrained(l, placement)
-      val rConstrained = isConstrained(r, placement)
-      val consCol = nm.fresh("consistent")
-      df = df.withColumn(consCol,
-        coalesce(col(tl.consistent), lit(!lConstrained)) &&
-          coalesce(col(tr.consistent), lit(!rConstrained)))
-
-      Traced(df, tl.cols ++ tr.cols, consCol, aliveCol,
-        tl.tracked ++ tr.tracked :+ TrackedOp(id, retCol),
-        tl.compat ++ tr.compat, tl.wnJoin ++ tr.wnJoin + (id -> (wnL, wnR)))
-
-    case Agg(id, groupBy, aggs, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      val keyCols = groupBy.map { case (_, a) => col(t.cols(a)) }
-      val w = if (keyCols.isEmpty) Window.partitionBy(lit(1)) else Window.partitionBy(keyCols: _*)
-      var df = t.df
-      val outMap = scala.collection.mutable.Map[String, String]()
-      groupBy.foreach { case (o, a) => outMap(o) = t.cols(a) }
-      def value(spec: AggSpec) = spec.expr.map(_.toColumn(t.resolve))
-      aggs.foreach { spec =>
-        val pc = nm.fresh(spec.out)
-        // the aggregate's value in the ORIGINAL pipeline
-        df = df.withColumn(pc, spec.func.aliveOver(value(spec), col(t.alive), w))
-        outMap(spec.out) = pc
+      val lanes = ls.zip(rs).zip(js).zip(placements).map { case (((tl, tr), j), p) =>
+        // original-world survival of a pairing: both sides alive and matched
+        val alive = bool(col(tl.alive)) && bool(col(tr.alive)) && hasL && hasR
+        val cons = coalesce(col(tl.consistent), lit(!isConstrained(j.left, p))) &&
+          coalesce(col(tr.consistent), lit(!isConstrained(j.right, p)))
+        // original-world partner existence per lineage side (baselines)
+        def partner(rid: String, other: Traced, otherHere: Column, keyNull: Column) =
+          (max(when(otherHere && bool(col(other.alive)), 1).otherwise(0))
+            .over(Window.partitionBy(col(rid))) === 1) || keyNull
+        val partners = lrid.zip(rrid).map { case (lr, rr) => (partner(lr, tr, hasR, lKeyNull), partner(rr, tl, hasL, rKeyNull)) }
+        (tl, tr, alive, cons, partners)
       }
-      // aggregate-constraint satisfiability under full relaxation
-      var cons = col(t.consistent)
-      placement.aggChecks.getOrElse(id, Seq.empty).foreach { case (out, prim) =>
-        val spec = aggs.find(_.out == out).getOrElse(
-          throw new IllegalArgumentException(s"agg constraint on unknown output $out"))
-        val (lo, hi) = spec.func.relaxedOver(value(spec), w)
-        cons = cons && bool(Nip.satisfiable(prim, lo, hi))
+      val (df, pc) = emit(joined, (s"ret_${j0.id}" -> ret) +: lanes.flatMap { case (_, _, alive, cons, partners) =>
+        Seq("alive" -> alive, "consistent" -> cons) ++
+          partners.toSeq.flatMap { case (wl, wr) => Seq(s"wnL_${j0.id}" -> wl, s"wnR_${j0.id}" -> wr) }
+      })
+      lanes.map { case (tl, tr, alive, cons, partners) =>
+        Traced(df, tl.cols ++ tr.cols, pc(cons), pc(alive), tl.tracked ++ tr.tracked :+ TrackedOp(j0.id, pc(ret)),
+          tl.compat ++ tr.compat,
+          tl.wnJoin ++ tr.wnJoin ++ partners.map { case (wl, wr) => j0.id -> (pc(wl), pc(wr)) })
       }
-      val consCol = nm.fresh("consistent")
-      df = df.withColumn(consCol, cons)
-      t.copy(df = df, cols = outMap.toMap, consistent = consCol)
-
-    // Nesting keeps row grain in the tracer: the group members stay
-    // visible and the element constraints were already pushed to them by
-    // backtracing; the nested attribute becomes a *virtual* column that
-    // downstream projections may pass through but no predicate may read.
-    case NestRel(_, _, out, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      t.copy(virtual = t.virtual + out)
-
-    case NestTup(_, _, out, in) =>
-      val t = go(in, catalog, placement, ts, nm, compatOverride)
-      t.copy(virtual = t.virtual + out)
-
-    case Dedup(_, in) =>
-      go(in, catalog, placement, ts, nm, compatOverride)
-
-    case UnionOp(_, _, _) =>
-      throw new UnsupportedOperationException("tracing through union is not supported")
-  }
-
-  /** Conjoin primitive checks (null-safe) onto the consistency flag. */
-  private def addChecks(df: DataFrame, consistent: String,
-                        checks: Seq[(String, Nip)], nm: Namer): (DataFrame, String) =
-    if (checks.isEmpty) (df, consistent)
-    else {
-      val expr = checks.map { case (pc, n) => Nip.primColumn(n, col(pc)) }.reduce(_ && _)
-      val c2 = nm.fresh("consistent")
-      (df.withColumn(c2, col(consistent) && bool(expr)), c2)
     }
+
+    private def agg(as: Seq[Agg]): Seq[Traced] = {
+      val in = go(as.map(_.in))
+      val lanes = in.zip(as).zip(placements).map { case ((t, a), pl) =>
+        val keys = a.groupBy.map { case (_, k) => col(t.cols(k)) }
+        val w = if (keys.isEmpty) Window.partitionBy(lit(1)) else Window.partitionBy(keys: _*)
+        def value(spec: AggSpec) = spec.expr.map(_.toColumn(t.resolve))
+        // each aggregate's value in the ORIGINAL pipeline
+        val outs = a.aggs.map(spec => spec.out -> spec.func.aliveOver(value(spec), col(t.alive), w))
+        // aggregate-constraint satisfiability under full relaxation
+        val checks = pl.aggChecks.getOrElse(a.id, Seq.empty).map { case (out, prim) =>
+          val spec = a.aggs.find(_.out == out).getOrElse(
+            throw new IllegalArgumentException(s"agg constraint on unknown output $out"))
+          val (lo, hi) = spec.func.relaxedOver(value(spec), w)
+          Nip.satisfiable(prim, lo, hi)
+        }
+        (outs, checked(t, checks))
+      }
+      val (df, pc) = emit(in.head.df, lanes.flatMap { case (outs, cons) => outs ++ cons.map("consistent" -> _) })
+      in.zip(as).zip(lanes).map { case ((t, a), (outs, cons)) =>
+        t.copy(df = df,
+          cols = a.groupBy.map { case (o, k) => o -> t.cols(k) }.toMap ++ outs.map { case (o, c) => o -> pc(c) },
+          consistent = cons.map(pc).getOrElse(t.consistent))
+      }
+    }
+  }
 
   /** Does the subtree rooted at ``op`` carry any why-not constraint? */
   private def isConstrained(op: Op, placement: Placement): Boolean = {
