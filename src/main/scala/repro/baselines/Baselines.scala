@@ -1,7 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.Column
-import org.apache.spark.sql.functions._
 import repro.core._
 import repro.nrab._
 
@@ -27,36 +25,29 @@ import repro.nrab._
   * Deaths are *path-restricted*: a compatible from table T is only blamed
   * on operators that are ancestors of T's table access; a join on the
   * path fails for T when T's side has no original-world partner (the
-  * tracer's wnJoin flags).
+  * tracer's wnJoin flags). Each traced table is one lane of the lineage
+  * trace, and one [[Explain.witnessFailSets]] query answers all lanes.
   */
 object Baselines {
 
   /** WN++ explanations: zero or one operator set. */
-  def wnPlusPlus(q: Question): Seq[Set[Int]] = {
-    val d = deaths(q)
-    if (d.isEmpty) Seq.empty else Seq(Set(d.minBy(_.deathPos).deathOp))
-  }
+  def wnPlusPlus(q: Question): Seq[Set[Int]] =
+    death(q).map { case (pos, _) => Set(q.query.allOps(pos).id) }.toSeq
 
   /** Conseil [19] baseline: combined picky set of the compatible that
     * survived longest.
     */
-  def conseil(q: Question): Option[Set[Int]] = {
-    val d = deaths(q)
-    if (d.isEmpty) None
-    else {
-      val best = d.minBy(_.deathPos)
-      Some(best.failSets.minBy(s => (s.size, s.toSeq.sorted.mkString)))
-    }
-  }
+  def conseil(q: Question): Option[Set[Int]] =
+    death(q).map { case (_, failSets) => failSets.minBy(s => (s.size, s.toSeq.sorted.mkString)) }
 
-  /** Death summary for one traced table: the most downstream death
-    * position/operator among its compatibles, and the distinct full
-    * failure sets of the rows dying there (for Conseil).
+  /** The death of the longest-surviving compatible over the traced
+    * tables: the pre-order position of the operator it died at and the
+    * distinct full failure sets of the rows dying there (for Conseil).
+    * A row dies at its first failing operator in evaluation order, the
+    * deepest in the tree: the largest pre-order position in its failure
+    * set.
     */
-  private final case class Death(table: String, deathPos: Int, deathOp: Int,
-                                 failSets: Seq[Set[Int]])
-
-  private def deaths(q: Question): Seq[Death] = {
+  private def death(q: Question): Option[(Int, Seq[Set[Int]])] = {
     val ts = q.tableSchemas
     val placement = Placement.backtrace(q.query, q.nip, ts)
     val traced = Trace.lineage(q.query, q.tables, placement, ts, q.baselineCompat)
@@ -67,59 +58,30 @@ object Baselines {
       if (constrained.nonEmpty) constrained else allTables
     }
 
-    val pos = q.query.allOps.map(_.id).zipWithIndex.toMap
-    val joinsById = q.query.allOps.collect { case j: Join => j.id -> j }.toMap
-
-    traceTables.flatMap { table =>
-      val compatCol = traced.compat.get(table)
-      if (compatCol.isEmpty) None
-      else {
-        // tracked ops on this table's lineage path, with the flag to use
-        val pathFlags: Seq[(Int, Column)] = traced.tracked.flatMap { t =>
-          val op = q.query.find(t.opId).get
-          val onPath = op.allOps.exists { case TableAccess(_, n) => n == table; case _ => false }
-          if (!onPath) None
-          else joinsById.get(t.opId) match {
-            case Some(j) =>
-              val leftHas = j.left.allOps.exists { case TableAccess(_, n) => n == table; case _ => false }
-              val (wl, wr) = traced.wnJoin(t.opId)
-              Some(t.opId -> coalesce(col(if (leftHas) wl else wr), lit(false)))
-            case None =>
-              Some(t.opId -> coalesce(col(t.retCol), lit(false)))
-          }
+    // one lane per traced table: its compatibles, tracked on its lineage
+    // path only, a join failing when the table's side has no partner
+    val lanes = traceTables.filter(traced.compat.contains).map { table =>
+      def has(op: Op) = op.allOps.exists { case TableAccess(_, n) => n == table; case _ => false }
+      traced.copy(consistent = traced.compat(table), tracked = traced.tracked.flatMap { t =>
+        val op = q.query.find(t.opId).get
+        Option.when(has(op))(op match {
+          case j: Join =>
+            val (wl, wr) = traced.wnJoin(j.id)
+            t.copy(retCol = if (has(j.left)) wl else wr)
+          case _ => t
+        })
+      })
+    }.filter(_.tracked.nonEmpty)
+    if (lanes.isEmpty) None
+    else {
+      val pos = q.query.allOps.map(_.id).zipWithIndex.toMap
+      Explain.witnessFailSets(lanes).flatMap { failSets =>
+        val dying = failSets.collect { case (s, _) if s.nonEmpty => s.map(pos).max -> s }
+        Option.when(dying.nonEmpty) {
+          val at = dying.map(_._1).min
+          at -> dying.collect { case (p, s) if p == at => s }
         }
-        if (pathFlags.isEmpty) None
-        else {
-          // per row: position of the FIRST failing op in evaluation order
-          // (the deepest in the tree = the largest pre-order position)
-          val failPositions = pathFlags.map { case (id, ok) =>
-            when(!ok, lit(pos(id))).otherwise(lit(-1))
-          }
-          val deathPos =
-            if (failPositions.size == 1) failPositions.head
-            else greatest(failPositions: _*)
-
-          val flagCols = pathFlags.map { case (id, ok) => ok.as(s"__f_$id") }
-          val rows = traced.df
-            .filter(coalesce(col(compatCol.get), lit(false)))
-            .select(flagCols :+ deathPos.as("__death"): _*)
-            .filter(col("__death") >= 0)
-            .groupBy((pathFlags.map { case (id, _) => col(s"__f_$id") } :+ col("__death")): _*)
-            .count()
-            .collect()
-
-          if (rows.isEmpty) None
-          else {
-            val minDeath = rows.map(_.getAs[Int]("__death")).min
-            val dyingRows = rows.filter(_.getAs[Int]("__death") == minDeath)
-            val failSets = dyingRows.map { r =>
-              pathFlags.zipWithIndex.collect { case ((id, _), i) if !r.getBoolean(i) => id }.toSet
-            }.toSeq.distinct
-            val deathOp = pos.collectFirst { case (id, p) if p == minDeath => id }.get
-            Some(Death(table, minDeath, deathOp, failSets))
-          }
-        }
-      }
+      }.minByOption(_._1)
     }
   }
 }

@@ -30,7 +30,8 @@ final case class TrackedOp(opId: Int, retCol: String)
   *  - ``compat``     per source table: source-level compatibility without
   *                   revalidation (for the lineage-based baselines)
   *  - ``wnJoin``     per join: original-world partner-existence flags for
-  *                   the left/right lineage (baseline path deaths)
+  *                   the left/right lineage (baseline path deaths),
+  *                   windows over that side's join key
   *
   * ``compat`` and ``wnJoin`` are built only by [[Trace.lineage]], the
   * baselines' trace; they are empty otherwise.
@@ -268,15 +269,13 @@ object Trace {
         (shared(j0, "left join key", ls.zip(js).map { case (t, j) => t.cols(j.conds(i)._1) }),
          shared(j0, "right join key", rs.zip(js).map { case (t, j) => t.cols(j.conds(i)._2) }))
       }
-      // a presence flag per side, plus per-side row ids for the baselines'
-      // partner windows
-      def side(df: DataFrame, hint: String): (DataFrame, String, Option[String]) = {
-        val rid = lineage.map(_ => monotonically_increasing_id())
-        val (d, pc) = emit(df, Seq(s"p$hint" -> lit(1)) ++ rid.map(s"${hint}rid" -> _))
-        (d, pc(lit(1)), rid.map(pc))
+      // a presence flag per side
+      def side(df: DataFrame, hint: String): (DataFrame, String) = {
+        val (d, pc) = emit(df, Seq(s"p$hint" -> lit(1)))
+        (d, pc(lit(1)))
       }
-      val (ldf, pl, lrid) = side(ls.head.df, "L")
-      val (rdf, pr, rrid) = side(rs.head.df, "R")
+      val (ldf, pl) = side(ls.head.df, "L")
+      val (rdf, pr) = side(rs.head.df, "R")
       val cond = keys.map { case (a, b) => ldf(a) === rdf(b) }.reduceOption(_ && _).getOrElse(lit(true))
       val joined = ldf.join(rdf, cond, "full_outer")
 
@@ -299,11 +298,13 @@ object Trace {
         val alive = bool(col(tl.alive)) && bool(col(tr.alive)) && hasL && hasR
         val cons = coalesce(col(tl.consistent), lit(!isConstrained(j.left, p))) &&
           coalesce(col(tr.consistent), lit(!isConstrained(j.right, p)))
-        // original-world partner existence per lineage side (baselines)
-        def partner(rid: String, other: Traced, otherHere: Column, keyNull: Column) =
+        // original-world partner existence per lineage side (baselines): in
+        // an equi-join every row with key k has the same partners
+        def partner(key: Seq[String], other: Traced, otherHere: Column, keyNull: Column) =
           (max(when(otherHere && bool(col(other.alive)), 1).otherwise(0))
-            .over(Window.partitionBy(col(rid))) === 1) || keyNull
-        val partners = lrid.zip(rrid).map { case (lr, rr) => (partner(lr, tr, hasR, lKeyNull), partner(rr, tl, hasL, rKeyNull)) }
+            .over(Window.partitionBy(key.map(col): _*)) === 1) || keyNull
+        val partners = lineage.map(_ =>
+          (partner(keys.map(_._1), tr, hasR, lKeyNull), partner(keys.map(_._2), tl, hasL, rKeyNull)))
         (tl, tr, alive, cons, partners)
       }
       val (df, pc) = emit(joined, (s"ret_${j0.id}" -> ret) +: lanes.flatMap { case (_, _, alive, cons, partners) =>

@@ -6,9 +6,9 @@ import org.apache.spark.sql.types._
 
 /** Synthetic TPC-H with lineitems nested into orders ([35]-style), the
   * substrate of the paper's Q1/Q3/Q4/Q6/Q10/Q13 scenarios, plus the flat
-  * variants (QxF). Extends the provided TPC-H-lite shape (repro.SynthData)
-  * with the columns those queries reference (commit/receipt dates, order
-  * and ship priorities, customer contact attributes, nation) and plants
+  * variants (QxF). Generates the TPC-H columns those queries reference
+  * (keys, prices, flags, commit/receipt dates, order and ship
+  * priorities, customer contact attributes, nation) and plants
   * deterministic witness rows so each scenario's gold-standard explanation
   * is identifiable:
   *

@@ -90,7 +90,8 @@ object Nip {
   /** Compile a *tuple-level* NIP into a Catalyst predicate over the columns
     * of a DataFrame whose rows are candidate matches. Bag-typed fields must
     * have the backtraced shape ``{{elem, *}}`` (exists) or ``?``/``{{*}}``
-    * (unconstrained) — the only shapes schema backtracing produces.
+    * (unconstrained) — the only shapes schema backtracing produces; a bag
+    * without ``*`` raises IllegalArgumentException.
     */
   def toColumn(nip: NTup, resolve: String => Column): Column =
     nip.fields.map { case (name, sub) => fieldColumn(resolve(name), sub) }
@@ -100,21 +101,12 @@ object Nip {
     case NTup(fields) =>
       fields.map { case (n, sub) => fieldColumn(c.getField(n), sub) }
         .reduceOption(_ && _).getOrElse(lit(true))
-    case NBag(Seq(), _)       => lit(true)
-    case NBag(elems, true)    =>
+    case NBag(elems, true) =>
       // {{e1, …, en, *}}: each pattern element must match some array element.
       elems.map {
         case NAny => size(c) > 0
         case e    => exists(c, x => fieldColumn(x, e))
       }.reduceOption(_ && _).getOrElse(lit(true))
-    case NBag(elems, false) =>
-      // exact bag without * — only used with a single fully-wild element
-      // in practice; approximate as exists + size bound.
-      val ex = elems.map {
-        case NAny => lit(true)
-        case e    => exists(c, x => fieldColumn(x, e))
-      }.reduceOption(_ && _).getOrElse(lit(true))
-      ex && size(c) === elems.size
     case prim => primColumn(prim, c)
   }
 

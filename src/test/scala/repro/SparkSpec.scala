@@ -1,6 +1,9 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -16,6 +19,35 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Spark queries executed by ``body``, counted by a listener. Listener
+    * events arrive asynchronously; a marker query flushes them.
+    */
+  def queriesRunBy(body: => Unit): Int = {
+    val marker = "__query_count_marker"
+    val (count, markers) = (new AtomicInteger, new AtomicInteger)
+    val listener = new QueryExecutionListener {
+      private def seen(qe: QueryExecution): Unit =
+        if (qe.analyzed.output.exists(_.name == marker)) markers.incrementAndGet()
+        else count.incrementAndGet()
+      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = seen(qe)
+      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = seen(qe)
+    }
+    def flush(n: Int): Unit = {
+      spark.range(1).toDF(marker).collect()
+      val deadline = System.nanoTime() + 60L * 1000 * 1000 * 1000
+      while (markers.get < n && System.nanoTime() < deadline) Thread.sleep(10)
+      assert(markers.get == n, "query listener events did not arrive")
+    }
+    spark.listenerManager.register(listener)
+    try {
+      flush(1)
+      count.set(0)
+      body
+      flush(2)
+      count.get
+    } finally spark.listenerManager.unregister(listener)
+  }
 }
 
 object SparkSpec {

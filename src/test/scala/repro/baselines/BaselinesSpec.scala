@@ -96,6 +96,49 @@ class BaselinesSpec extends SparkSpec {
     assert(Baselines.wnPlusPlus(question) == Seq(Set(2)))
   }
 
+  test("all traced tables are lanes of one witness query") {
+    val l = Seq((1L, "hit")).toDF("k", "s")
+    val r = Seq((1L, 5)).toDF("k2", "n")
+    val q = Join(2, JoinKind.Inner, Seq("k" -> "k2"),
+      TableAccess(0, "l"),
+      Selection(1, Pred.gt("n", 10), TableAccess(3, "r")))
+    val question = Question(q, Map("l" -> l, "r" -> r),
+      Nip.tup("s" -> NConst("hit"), "k" -> NAny, "k2" -> NAny, "n" -> NAny),
+      wnTraceTables = Some(Seq("l", "r")))
+    var wn = Seq.empty[Set[Int]]
+    assert(queriesRunBy { wn = Baselines.wnPlusPlus(question) } == 1)
+    // l's compatible survives σ1 (not on its path) and dies at the join,
+    // downstream of r's death at σ1
+    assert(wn == Seq(Set(2)))
+  }
+
+  test("a compatible with one filtered and one alive partner is not blamed on the join") {
+    // both partners share the compatible's key; only one survives σ1
+    val l = Seq((1L, "hit")).toDF("k", "s")
+    val r = Seq((1L, 5), (1L, 50)).toDF("k2", "n")
+    val q = Join(2, JoinKind.Inner, Seq("k" -> "k2"),
+      TableAccess(0, "l"),
+      Selection(1, Pred.gt("n", 10), TableAccess(3, "r")))
+    val question = Question(q, Map("l" -> l, "r" -> r),
+      Nip.tup("s" -> NConst("hit"), "k" -> NAny, "k2" -> NAny, "n" -> NAny),
+      wnTraceTables = Some(Seq("l")))
+    assert(Baselines.wnPlusPlus(question).isEmpty)
+    assert(Baselines.conseil(question).isEmpty)
+  }
+
+  test("a null-key compatible is traced past the join to its own death") {
+    val l = Seq((None: Option[Long], "hit", 5)).toDF("k", "s", "n")
+    val r = Seq((1L, 9.0)).toDF("k2", "v")
+    val q = Selection(3, Pred.gt("n", 10),
+      Join(2, JoinKind.Inner, Seq("k" -> "k2"), TableAccess(0, "l"), TableAccess(1, "r")))
+    val question = Question(q, Map("l" -> l, "r" -> r),
+      Nip.tup("s" -> NConst("hit"), "k" -> NAny, "n" -> NAny, "k2" -> NAny, "v" -> NAny),
+      wnTraceTables = Some(Seq("l")))
+    // a null key is never the join's fault (as for RP's retained flag)
+    assert(Baselines.wnPlusPlus(question) == Seq(Set(3)))
+    assert(Baselines.conseil(question).contains(Set(3)))
+  }
+
   test("baselineCompat overrides the t̄-based compatibility") {
     val t = Map("r" -> tab((1, "a", 5)))
     val q = Selection(1, Pred.gt("n", 10), TableAccess(0, "r"))

@@ -1,9 +1,7 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicInteger
-import org.apache.spark.sql.catalyst.expressions.MonotonicallyIncreasingID
-import org.apache.spark.sql.execution.QueryExecution
-import org.apache.spark.sql.util.QueryExecutionListener
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.expressions.Nondeterministic
 import repro.SparkSpec
 import repro.data.Person
 import repro.nrab._
@@ -51,41 +49,21 @@ class GroupTraceSpec extends SparkSpec {
     }
   }
 
-  /** Spark queries executed by ``body``, counted by a listener. Listener
-    * events arrive asynchronously; a marker query flushes them.
-    */
-  private def queriesRunBy(body: => Unit): Int = {
-    val marker = "__query_count_marker"
-    val (count, markers) = (new AtomicInteger, new AtomicInteger)
-    val listener = new QueryExecutionListener {
-      private def seen(qe: QueryExecution): Unit =
-        if (qe.analyzed.output.exists(_.name == marker)) markers.incrementAndGet()
-        else count.incrementAndGet()
-      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit = seen(qe)
-      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = seen(qe)
-    }
-    def flush(n: Int): Unit = {
-      spark.range(1).toDF(marker).collect()
-      val deadline = System.nanoTime() + 60L * 1000 * 1000 * 1000
-      while (markers.get < n && System.nanoTime() < deadline) Thread.sleep(10)
-      assert(markers.get == n, "query listener events did not arrive")
-    }
-    spark.listenerManager.register(listener)
-    try {
-      flush(1)
-      count.set(0)
-      body
-      flush(2)
-      count.get
-    } finally spark.listenerManager.unregister(listener)
-  }
-
   test("Explain.rp runs one witness query per row-grain group: Q1F 1, D4 1, T3 2") {
     def rpQueries(name: String) = queriesRunBy(Explain.rp(all.find(_.name == name).get.question))
     assert(rpQueries("Q1F") == 1)
     assert(rpQueries("D4") == 1)
     assert(rpQueries("T3") == 2)
   }
+
+  /** Does the plan of ``df`` compute a nondeterministic expression (a row
+    * id, a random number) above its cached input tables?
+    */
+  private def nondeterministic(df: DataFrame): Boolean =
+    df.queryExecution.withCachedData.exists(_.expressions.exists(_.exists {
+      case _: Nondeterministic => true
+      case _                   => false
+    }))
 
   test("RP traces carry no lineage annotations; the baselines' trace does") {
     all.foreach { s =>
@@ -94,14 +72,13 @@ class GroupTraceSpec extends SparkSpec {
       val rp = Trace.trace(q.query, q.tables, p, ts)
       assert(rp.compat.isEmpty && rp.wnJoin.isEmpty, s.name)
       assert(rp.df.columns.forall(c => !c.contains("_compat_") && !c.contains("rid") && !c.contains("_wn")), s.name)
-      assert(!rp.df.queryExecution.analyzed.exists(_.expressions.exists(_.exists {
-        case _: MonotonicallyIncreasingID => true
-        case _                            => false
-      })), s"${s.name}: row ids in the RP trace")
+      assert(!nondeterministic(rp.df), s"${s.name}: nondeterministic RP trace")
       val wn = Trace.lineage(q.query, q.tables, p, ts)
       val joins = q.query.allOps.collect { case j: Join => j.id }.toSet
       assert(wn.wnJoin.keySet == joins, s.name)
       assert(wn.compat.keySet == q.query.allOps.collect { case TableAccess(_, n) => n }.toSet, s.name)
+      // partner flags are windows over the join keys, not over row ids
+      assert(!nondeterministic(wn.df), s"${s.name}: nondeterministic lineage trace")
     }
   }
 

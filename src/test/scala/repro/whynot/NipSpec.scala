@@ -1,6 +1,6 @@
 package repro.whynot
 
-import org.apache.spark.sql.functions.lit
+import org.apache.spark.sql.functions.{col, lit}
 import org.scalacheck.{Prop, Test => SCTest}
 import repro.SparkSpec
 
@@ -104,6 +104,17 @@ class NipSpec extends SparkSpec {
     assert(b.matches(Seq(3, 1, 2)))
     assert(b.matches(Seq(2, 3, 1)))
     assert(!b.matches(Seq(3, 1, 1)))
+  }
+
+  test("toColumn compiles only * bags; a bag without * is rejected") {
+    val rows = spark.sql("select array('x', 'y') as xs").select(Seq(
+      Nip.tup("xs" -> Nip.bagStar(NConst("x"))), Nip.tup("xs" -> Nip.bagStar()),
+      Nip.tup("xs" -> Nip.bagStar(NConst("z")))).map(Nip.toColumn(_, col)): _*).head()
+    assert(rows.toSeq == Seq(true, true, false))
+    Seq(Nip.bag(NConst("x"), NAny), Nip.bag()).foreach { b =>
+      val e = intercept[IllegalArgumentException](Nip.toColumn(Nip.tup("xs" -> b), col))
+      assert(e.getMessage.contains("non-primitive constraint"), b)
+    }
   }
 
   test("satisfiable: comparisons against [lo, hi]") {
