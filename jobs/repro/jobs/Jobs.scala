@@ -13,9 +13,8 @@ private[jobs] object JobSession {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 
-  /** args(0) optionally overrides the TPC-H order count (scale knob). */
-  def orders(args: Array[String], default: Long = 20000): Long =
-    args.headOption.map(_.toLong).getOrElse(default)
+  /** args(0) optionally overrides the TPC-H order count (scale knob, 20000). */
+  def orders(args: Array[String]): Long = args.headOption.map(_.toLong).getOrElse(20000L)
 }
 
 /** Reproduce paper Table 7 (explanation counts + gold ranks).
@@ -60,8 +59,7 @@ object ExplainJob {
   def main(args: Array[String]): Unit = {
     require(args.nonEmpty, "usage: ExplainJob <scenario-name> [nOrders]")
     val spark = JobSession("whynot-explain")
-    val all = Tables.scenarios(spark,
-      tpchOrders = args.drop(1).headOption.map(_.toLong).getOrElse(20000L))
+    val all = Tables.scenarios(spark, tpchOrders = JobSession.orders(args.drop(1)))
     val s = all.find(_.name.equalsIgnoreCase(args(0))).getOrElse(
       sys.error(s"unknown scenario ${args(0)}; have ${all.map(_.name).mkString(", ")}"))
     println(s"${s.name}: ${s.description}")

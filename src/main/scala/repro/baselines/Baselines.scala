@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core._
-import repro.nrab._
 
 /** Lineage-based missing-answer baselines, re-implemented on top of the
   * tracer's annotations (evaluated over the ORIGINAL query — no schema
@@ -24,9 +23,11 @@ import repro.nrab._
   *
   * Deaths are *path-restricted*: a compatible from table T is only blamed
   * on operators that are ancestors of T's table access; a join on the
-  * path fails for T when T's side has no original-world partner (the
-  * tracer's wnJoin flags). Each traced table is one lane of the lineage
-  * trace, and one [[Explain.witnessFailSets]] query answers all lanes.
+  * path fails for T when T's side has no original-world partner. Each
+  * traced table is one lane of the lineage trace ([[Trace.lineage]]), and
+  * one [[Explain.witnessFailSets]] query answers all lanes. The traced
+  * tables are those ``baselineCompat`` overrides, else those the
+  * backtraced NIP constrains, else all tables.
   */
 object Baselines {
 
@@ -50,28 +51,11 @@ object Baselines {
   private def death(q: Question): Option[(Int, Seq[Set[Int]])] = {
     val ts = q.tableSchemas
     val placement = Placement.backtrace(q.query, q.nip, ts)
-    val traced = Trace.lineage(q.query, q.tables, placement, ts, q.baselineCompat)
-
-    val allTables = q.query.allOps.collect { case TableAccess(_, n) => n }.distinct
-    val traceTables = q.wnTraceTables.getOrElse {
-      val constrained = allTables.filter(placement.constrainedTables.contains)
-      if (constrained.nonEmpty) constrained else allTables
-    }
-
-    // one lane per traced table: its compatibles, tracked on its lineage
-    // path only, a join failing when the table's side has no partner
-    val lanes = traceTables.filter(traced.compat.contains).map { table =>
-      def has(op: Op) = op.allOps.exists { case TableAccess(_, n) => n == table; case _ => false }
-      traced.copy(consistent = traced.compat(table), tracked = traced.tracked.flatMap { t =>
-        val op = q.query.find(t.opId).get
-        Option.when(has(op))(op match {
-          case j: Join =>
-            val (wl, wr) = traced.wnJoin(j.id)
-            t.copy(retCol = if (has(j.left)) wl else wr)
-          case _ => t
-        })
-      })
-    }.filter(_.tracked.nonEmpty)
+    val all = Trace.lineage(q.query, q.tables, placement, ts, q.baselineCompat)
+    val traced = Seq(q.baselineCompat.keySet, placement.tableNips.keySet)
+      .map(chosen => all.filter { case (table, _) => chosen(table) })
+      .find(_.nonEmpty).getOrElse(all)
+    val lanes = traced.values.toSeq.filter(_.tracked.nonEmpty)
     if (lanes.isEmpty) None
     else {
       val pos = q.query.allOps.map(_.id).zipWithIndex.toMap

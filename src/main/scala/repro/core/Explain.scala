@@ -8,16 +8,15 @@ import repro.whynot.NTup
 
 /** A why-not question Φ = ⟨Q, D, t⟩ (paper Def. 5) plus the algorithm's
   * inputs: the attribute-alternative groups (paper §5.2 assumes these are
-  * provided) and, for the lineage baselines, which tables' tuples to
-  * trace (None = tables constrained by the backtraced NIP, or all tables
-  * when none is constrained).
+  * provided) and, for the lineage baselines, per-table compatibility
+  * predicates that replace the backtraced t̄ (the tables they name are the
+  * ones the baselines trace).
   */
 final case class Question(
     query: Op,
     tables: Map[String, DataFrame],
     nip: NTup,
     altGroups: Seq[AltGroup] = Seq.empty,
-    wnTraceTables: Option[Seq[String]] = None,
     baselineCompat: Map[String, Pred] = Map.empty) {
   /** Each input table's schema, nested types included. */
   def tableSchemas: Map[String, StructType] = tables.map { case (n, df) => n -> df.schema }
@@ -28,8 +27,8 @@ final case class Question(
   *
   * ``ops`` are operator ids; ``labels`` the paper-style rendering;
   * ``saIndex`` the schema alternative it came from (0 = original);
-  * ``witnesses`` how many traced rows support it (a loose side-effect
-  * upper bound Δ+, §5.4).
+  * ``witnesses`` how many consistent traced rows support it, summed over
+  * its schema alternatives (a support count, not a side-effect bound).
   */
 final case class Explanation(ops: Set[Int], labels: Set[String], saIndex: Int, witnesses: Long) {
   override def toString: String = labels.toSeq.sorted.mkString("{", ", ", "}")

@@ -8,27 +8,30 @@ import repro.whynot._
   * SA-substituted) query: the missing answer's constraints pushed to the
   * places where the tracer can check them.
   *
-  *  - ``tableNips``: one NIP t̄_R per input table — a tuple pattern over
-  *    the table's columns (nested constraints become bag/tuple patterns).
-  *    Compatibility of a source tuple = it matches t̄_R.
-  *  - ``flattenChecks``: per flatten operator, primitive constraints to
-  *    re-validate on the promoted scalar columns — the paper's
-  *    revalidation of compatibles after structure changes.
-  *  - ``derivedChecks``: constraints on projection-derived columns,
-  *    checked where the value is created.
-  *  - ``aggChecks``: constraints on aggregate outputs, checked at the
-  *    aggregation via subset-range satisfiability (paper §5.4's loose
-  *    "full relaxation" bounds).
+  *  - ``tableNips``: one NIP t̄_R per constrained input table — a tuple
+  *    pattern over the table's columns (nested constraints become
+  *    bag/tuple patterns). Compatibility of a source tuple = it matches
+  *    t̄_R.
+  *  - ``checks``: per operator, primitive constraints on its output
+  *    columns, re-validated where the value is created or restructured.
+  *    The operator's type says how: on the promoted scalar columns at a
+  *    flatten (the paper's revalidation of compatibles after structure
+  *    changes), on the derived value at a projection, and via subset-range
+  *    satisfiability at an aggregation (paper §5.4's loose "full
+  *    relaxation" bounds).
   */
 final case class Placement(
     tableNips: Map[String, NTup],
-    constrainedTables: Set[String],
-    flattenChecks: Map[Int, Seq[(String, Nip)]],
-    derivedChecks: Map[Int, Seq[(String, Nip)]],
-    aggChecks: Map[Int, Seq[(String, Nip)]]) {
+    checks: Map[Int, Seq[(String, Nip)]]) {
 
   /** t̄ for ``table`` (empty pattern — matches everything — if unconstrained). */
   def nipFor(table: String): NTup = tableNips.getOrElse(table, NTup(Seq.empty))
+
+  /** Does the subtree rooted at ``op`` carry any why-not constraint? */
+  def constrains(op: Op): Boolean = op.allOps.exists {
+    case TableAccess(_, n) => tableNips.contains(n)
+    case o                 => checks.contains(o.id)
+  }
 }
 
 object Placement {
@@ -40,9 +43,9 @@ object Placement {
                 tableSchemas: Map[String, StructType]): Placement = {
     val rootSources = Source.colSources(query, tableSchemas)
 
-    val pathCons    = Seq.newBuilder[(SrcPath, Nip)]
-    val aggCons     = Seq.newBuilder[(Int, (String, Nip))]
-    val derivedCons = Seq.newBuilder[(Int, (String, Nip))]
+    val pathCons  = Seq.newBuilder[(SrcPath, Nip)]
+    // constraints on aggregate outputs and projection-derived values
+    val valueCons = Seq.newBuilder[(Int, (String, Nip))]
 
     // ``attr`` names the constrained value (output column, then nested
     // fields) for the error raised when a constraint cannot be placed
@@ -58,8 +61,8 @@ object Placement {
         case NAny => ()
         case prim @ (NConst(_) | NCmp(_, _)) => src match {
           case p: SrcPath              => pathCons += p -> prim
-          case SrcAgg(id, out)         => aggCons += id -> (out, prim)
-          case SrcDerived(id, out, _)  => derivedCons += id -> (out, prim)
+          case SrcAgg(id, out)         => valueCons += id -> (out, prim)
+          case SrcDerived(id, out, _)  => valueCons += id -> (out, prim)
           case _: SrcNested            => unplaceable("primitive constraint on a nested value")
         }
         case NTup(fields) => placeFields(fields)
@@ -101,13 +104,8 @@ object Placement {
       }
     }.filter(_._2.nonEmpty).toMap
 
-    Placement(
-      tableNips = tableNips,
-      constrainedTables = paths.map(_._1.table).toSet,
-      flattenChecks = flattenChecks,
-      derivedChecks = derivedCons.result().groupBy(_._1).map { case (k, v) => k -> v.map(_._2) },
-      aggChecks = aggCons.result().groupBy(_._1).map { case (k, v) => k -> v.map(_._2) }
-    )
+    Placement(tableNips,
+      flattenChecks ++ valueCons.result().groupMap(_._1)(_._2))
   }
 
   /** Build a nested NIP pattern for one table from (path, prim) pairs.

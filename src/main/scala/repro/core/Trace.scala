@@ -6,6 +6,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.StructType
 import repro.nrab._
 import repro.whynot.Nip
+import scala.collection.immutable.ListMap
 import scala.collection.mutable
 
 /** One tracked (reparameterizable, tuple-pruning) operator of the traced
@@ -27,14 +28,12 @@ final case class TrackedOp(opId: Int, retCol: String)
   *                   aggregate values and original join partners
   *  - ``tracked``    retained flags per pruning operator (selection,
   *                   inner flatten, join), pipeline (bottom-up) order
-  *  - ``compat``     per source table: source-level compatibility without
-  *                   revalidation (for the lineage-based baselines)
-  *  - ``wnJoin``     per join: original-world partner-existence flags for
-  *                   the left/right lineage (baseline path deaths),
-  *                   windows over that side's join key
   *
-  * ``compat`` and ``wnJoin`` are built only by [[Trace.lineage]], the
-  * baselines' trace; they are empty otherwise.
+  * The lanes of [[Trace.lineage]], the baselines' trace, are one per
+  * source table instead: ``consistent`` is the table's compatibility
+  * without revalidation, and ``tracked`` holds the operators on the
+  * table's path, a join's flag being its original-world partner existence
+  * for the table's side.
   */
 final case class Traced(
     df: DataFrame,
@@ -42,8 +41,6 @@ final case class Traced(
     consistent: String,
     alive: String,
     tracked: Seq[TrackedOp],
-    compat: Map[String, String] = Map.empty,
-    wnJoin: Map[Int, (String, String)] = Map.empty,
     virtual: Set[String] = Set.empty) {
   def resolve(name: String): Column =
     col(cols.getOrElse(name, throw new IllegalArgumentException(
@@ -82,15 +79,34 @@ object Trace {
             tableSchemas: Map[String, StructType]): Seq[Traced] =
     new Tracer(catalog, queries.map(_._2), tableSchemas, lineage = None).go(queries.map(_._1))
 
-  /** Trace ``query`` with the lineage annotations the baselines read
-    * (``compat`` and ``wnJoin``). ``compatOverride`` replaces the
-    * t̄-based source compatibility predicate per table (the lineage
-    * baselines' notion of compatibility can be coarser).
+  /** Trace ``query`` for the lineage baselines: one lane per table the
+    * query reads, keyed by table name in query order, all over one ``df``.
+    * A table's lane is consistent where a source tuple is compatible (no
+    * revalidation) and tracks only the operators on the table's path; at
+    * a join it reads whether the table's side has an original-world
+    * partner. ``compatOverride`` replaces the t̄-based source
+    * compatibility predicate per table (the lineage baselines' notion of
+    * compatibility can be coarser).
     */
   def lineage(query: Op, catalog: Map[String, DataFrame], placement: Placement,
               tableSchemas: Map[String, StructType],
-              compatOverride: Map[String, Pred] = Map.empty): Traced =
-    new Tracer(catalog, Seq(placement), tableSchemas, Some(compatOverride)).go(Seq(query)).head
+              compatOverride: Map[String, Pred] = Map.empty): ListMap[String, Traced] = {
+    val tracer = new Tracer(catalog, Seq(placement), tableSchemas, Some(compatOverride))
+    val traced = tracer.go(Seq(query)).head
+    val tables = query.allOps.collect { case TableAccess(_, n) => n }.distinct
+    ListMap.from(tables.map { table =>
+      def reads(op: Op) = op.allOps.exists { case TableAccess(_, n) => n == table; case _ => false }
+      table -> traced.copy(consistent = tracer.compat(table), tracked = traced.tracked.flatMap { t =>
+        val op = query.find(t.opId).get
+        Option.when(reads(op))(op match {
+          case j: Join =>
+            val (wl, wr) = tracer.partners(j.id)
+            t.copy(retCol = if (reads(j.left)) wl else wr)
+          case _ => t
+        })
+      })
+    })
+  }
 
   /** The row grain of ``query``'s trace: the provenance of every relation
     * flatten's attribute and every join key. Selections, projections,
@@ -112,10 +128,16 @@ object Trace {
 
   /** One trace over the lanes ``placements`` (one per traced query).
     * ``lineage`` holds the compat overrides when the baselines' lineage
-    * annotations are wanted.
+    * annotations of the one traced query are wanted; the tracer records
+    * their columns in ``compat`` and ``partners``.
     */
   private final class Tracer(catalog: Map[String, DataFrame], placements: Seq[Placement],
                              ts: Map[String, StructType], lineage: Option[Map[String, Pred]]) {
+    /** Per source table: compatibility without revalidation. */
+    val compat = mutable.Map.empty[String, String]
+    /** Per join: original-world partner existence for its left/right side. */
+    val partners = mutable.Map.empty[Int, (String, String)]
+
     private var n = 0
     private def fresh(hint: String): String = { n += 1; s"__c${n}_$hint" }
 
@@ -182,15 +204,12 @@ object Trace {
         val parts = p.split('.'); parts.tail.foldLeft(src(parts.head))(_.getField(_))
       }
       val cons = placements.map(pl => bool(Nip.toColumn(pl.nipFor(name), c => src(c))))
-      val compat = lineage.map(overrides => cons.map(c =>
-        overrides.get(name).map(p => bool(p.toColumn(dotted))).getOrElse(c)))
+      val compatible = lineage.map(_.get(name).map(p => bool(p.toColumn(dotted))).getOrElse(cons.head))
       val (df, pc) = emit(src,
-        cons.map("consistent" -> _) ++ Seq("alive" -> lit(true)) ++ compat.toSeq.flatten.map(s"compat_$name" -> _),
+        cons.map("consistent" -> _) ++ Seq("alive" -> lit(true)) ++ compatible.map(s"compat_$name" -> _),
         keep = src.columns.toSeq.map(c => src(c).as(colMap(c))))
-      cons.indices.map { k =>
-        Traced(df, colMap, pc(cons(k)), pc(lit(true)), Seq.empty,
-          compat = compat.fold(Map.empty[String, String])(cs => Map(name -> pc(cs(k)))))
-      }
+      compatible.foreach(c => compat(name) = pc(c))
+      cons.map(c => Traced(df, colMap, pc(c), pc(lit(true)), Seq.empty))
     }
 
     private def selection(ss: Seq[Selection]): Seq[Traced] = {
@@ -214,7 +233,7 @@ object Trace {
         val virt = p.cols.collect { case ProjCol(o, Attr(a)) if t.virtual(a) => o }.toSet
         val derived = p.cols.filterNot(_.expr.isInstanceOf[Attr]).map(c => c.out -> c.expr.toColumn(t.resolve))
         val value = kept.map { case (o, pc) => o -> col(pc) }.toMap ++ derived
-        val checks = pl.derivedChecks.getOrElse(p.id, Seq.empty).map { case (o, nip) => Nip.primColumn(nip, value(o)) }
+        val checks = pl.checks.getOrElse(p.id, Seq.empty).map { case (o, nip) => Nip.primColumn(nip, value(o)) }
         (kept, virt, derived, checked(t, checks))
       }
       val (df, pc) = emit(in.head.df, lanes.flatMap { case (_, _, derived, cons) =>
@@ -246,7 +265,7 @@ object Trace {
       val lanes = in.zip(fs).zip(elems).zip(placements).map { case (((t, f), elem), pl) =>
         val promoted = Source.promoted(f, Source.colSources(f.in, ts)(f.attr), ts)
           .map { case (o, field) => o -> elem.getField(field) }
-        val checks = pl.flattenChecks.getOrElse(f.id, Seq.empty)
+        val checks = pl.checks.getOrElse(f.id, Seq.empty)
           .map { case (o, nip) => Nip.primColumn(nip, promoted.toMap.apply(o)) }
         (promoted, ret.map(col(t.alive) && _), checked(t, checks))
       }
@@ -296,25 +315,24 @@ object Trace {
       val lanes = ls.zip(rs).zip(js).zip(placements).map { case (((tl, tr), j), p) =>
         // original-world survival of a pairing: both sides alive and matched
         val alive = bool(col(tl.alive)) && bool(col(tr.alive)) && hasL && hasR
-        val cons = coalesce(col(tl.consistent), lit(!isConstrained(j.left, p))) &&
-          coalesce(col(tr.consistent), lit(!isConstrained(j.right, p)))
+        val cons = coalesce(col(tl.consistent), lit(!p.constrains(j.left))) &&
+          coalesce(col(tr.consistent), lit(!p.constrains(j.right)))
         // original-world partner existence per lineage side (baselines): in
         // an equi-join every row with key k has the same partners
         def partner(key: Seq[String], other: Traced, otherHere: Column, keyNull: Column) =
           (max(when(otherHere && bool(col(other.alive)), 1).otherwise(0))
             .over(Window.partitionBy(key.map(col): _*)) === 1) || keyNull
-        val partners = lineage.map(_ =>
+        val sides = lineage.map(_ =>
           (partner(keys.map(_._1), tr, hasR, lKeyNull), partner(keys.map(_._2), tl, hasL, rKeyNull)))
-        (tl, tr, alive, cons, partners)
+        (tl, tr, alive, cons, sides)
       }
-      val (df, pc) = emit(joined, (s"ret_${j0.id}" -> ret) +: lanes.flatMap { case (_, _, alive, cons, partners) =>
+      val (df, pc) = emit(joined, (s"ret_${j0.id}" -> ret) +: lanes.flatMap { case (_, _, alive, cons, sides) =>
         Seq("alive" -> alive, "consistent" -> cons) ++
-          partners.toSeq.flatMap { case (wl, wr) => Seq(s"wnL_${j0.id}" -> wl, s"wnR_${j0.id}" -> wr) }
+          sides.toSeq.flatMap { case (wl, wr) => Seq(s"wnL_${j0.id}" -> wl, s"wnR_${j0.id}" -> wr) }
       })
-      lanes.map { case (tl, tr, alive, cons, partners) =>
-        Traced(df, tl.cols ++ tr.cols, pc(cons), pc(alive), tl.tracked ++ tr.tracked :+ TrackedOp(j0.id, pc(ret)),
-          tl.compat ++ tr.compat,
-          tl.wnJoin ++ tr.wnJoin ++ partners.map { case (wl, wr) => j0.id -> (pc(wl), pc(wr)) })
+      lanes.map { case (tl, tr, alive, cons, sides) =>
+        sides.foreach { case (wl, wr) => partners(j0.id) = (pc(wl), pc(wr)) }
+        Traced(df, tl.cols ++ tr.cols, pc(cons), pc(alive), tl.tracked ++ tr.tracked :+ TrackedOp(j0.id, pc(ret)))
       }
     }
 
@@ -327,7 +345,7 @@ object Trace {
         // each aggregate's value in the ORIGINAL pipeline
         val outs = a.aggs.map(spec => spec.out -> spec.func.aliveOver(value(spec), col(t.alive), w))
         // aggregate-constraint satisfiability under full relaxation
-        val checks = pl.aggChecks.getOrElse(a.id, Seq.empty).map { case (out, prim) =>
+        val checks = pl.checks.getOrElse(a.id, Seq.empty).map { case (out, prim) =>
           val spec = a.aggs.find(_.out == out).getOrElse(
             throw new IllegalArgumentException(s"agg constraint on unknown output $out"))
           val (lo, hi) = spec.func.relaxedOver(value(spec), w)
@@ -342,16 +360,5 @@ object Trace {
           consistent = cons.map(pc).getOrElse(t.consistent))
       }
     }
-  }
-
-  /** Does the subtree rooted at ``op`` carry any why-not constraint? */
-  private def isConstrained(op: Op, placement: Placement): Boolean = {
-    val ops = op.allOps
-    val ids = ops.map(_.id).toSet
-    val tables = ops.collect { case TableAccess(_, n) => n }.toSet
-    tables.exists(placement.constrainedTables.contains) ||
-      ids.exists(placement.flattenChecks.contains) ||
-      ids.exists(placement.derivedChecks.contains) ||
-      ids.exists(placement.aggChecks.contains)
   }
 }

@@ -45,7 +45,6 @@ object CrimeScenarios {
             TableAccess(304, "crimes")))))
     Scenario("C2", "Persons whose look was reported by Susan from a high sector",
       Question(q, t, Nip.tup("name" -> NConst("Conedera")),
-        wnTraceTables = Some(Seq("witnesses")),
         baselineCompat = Map("witnesses" ->
           Or(Pred.eq("w_name", "Luisa"), Pred.eq("w_name", "Mario")))),
       expectedWn = Seq(Set("σ4")),

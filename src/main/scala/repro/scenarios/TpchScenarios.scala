@@ -99,7 +99,6 @@ object TpchScenarios {
               TableAccess(108, "lineitem")))))
     Scenario("Q3F", "TPC-H Q3 (flat), two modified selections",
       Question(q, d.catalog, q3Nip, groupsFlat,
-        wnTraceTables = Some(Seq("customer")),
         baselineCompat = Map("customer" -> Pred.eq("c_custkey", NestedTpch.Q3CustKey))),
       expectedWn = Seq(Set("σ26")),
       expectedRpNoSa = Seq(Set("σ26", "σ27")),

@@ -72,7 +72,6 @@ object TwitterScenarios {
       Question(q, t,
         Nip.tup("mname" -> NConst("famous_user"), "murl" -> NAny),
         Seq(AltGroup(Seq("tweets.entities.media", "tweets.entities.urls"))),
-        wnTraceTables = Some(Seq("tweets")),
         baselineCompat = Map("tweets" -> Pred.eq("uname", "famous_user"))),
       expectedWn = Seq(Set("F^I17")),
       expectedRpNoSa = Seq(Set("F^I17")),

@@ -33,12 +33,18 @@ sealed trait Nip {
 
 case object NAny extends Nip
 final case class NConst(value: Any) extends Nip
-/** ``value op c`` constraint with op in =, !=, >, >=, <, <=. */
-final case class NCmp(op: String, c: Any) extends Nip
+/** ``value op c`` constraint with op in =, !=, >, >=, <, <=; any other
+  * ``op`` is rejected on construction.
+  */
+final case class NCmp(op: String, c: Any) extends Nip {
+  if (!Nip.CmpOps.contains(op)) throw new IllegalArgumentException(
+    s"unknown comparison operator '$op' in why-not constraint (expected one of ${Nip.CmpOps.mkString(" ")})")
+}
 final case class NTup(fields: Seq[(String, Nip)]) extends Nip
 final case class NBag(elems: Seq[Nip], star: Boolean) extends Nip
 
 object Nip {
+  private[whynot] val CmpOps = Seq("=", "!=", ">", ">=", "<", "<=")
   /** ⟨a: v, b: ?⟩ builder. */
   def tup(fields: (String, Nip)*): NTup = NTup(fields)
   /** {{e1, …, en, *}} builder. */

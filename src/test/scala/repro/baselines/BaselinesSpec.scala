@@ -89,8 +89,7 @@ class BaselinesSpec extends SparkSpec {
       TableAccess(0, "l"),
       Selection(1, Pred.gt("n", 10), TableAccess(3, "r")))
     val question = Question(q, Map("l" -> l, "r" -> r),
-      Nip.tup("s" -> NConst("hit"), "k" -> NAny, "k2" -> NAny, "n" -> NAny),
-      wnTraceTables = Some(Seq("l")))
+      Nip.tup("s" -> NConst("hit"), "k" -> NAny, "k2" -> NAny, "n" -> NAny))
     // l's compatible dies at the JOIN (its partner was filtered away) —
     // σ1 sits on r's branch and is not on l's lineage path
     assert(Baselines.wnPlusPlus(question) == Seq(Set(2)))
@@ -104,7 +103,7 @@ class BaselinesSpec extends SparkSpec {
       Selection(1, Pred.gt("n", 10), TableAccess(3, "r")))
     val question = Question(q, Map("l" -> l, "r" -> r),
       Nip.tup("s" -> NConst("hit"), "k" -> NAny, "k2" -> NAny, "n" -> NAny),
-      wnTraceTables = Some(Seq("l", "r")))
+      baselineCompat = Map("l" -> Pred.eq("s", "hit"), "r" -> PTrue))
     var wn = Seq.empty[Set[Int]]
     assert(queriesRunBy { wn = Baselines.wnPlusPlus(question) } == 1)
     // l's compatible survives σ1 (not on its path) and dies at the join,
@@ -120,8 +119,7 @@ class BaselinesSpec extends SparkSpec {
       TableAccess(0, "l"),
       Selection(1, Pred.gt("n", 10), TableAccess(3, "r")))
     val question = Question(q, Map("l" -> l, "r" -> r),
-      Nip.tup("s" -> NConst("hit"), "k" -> NAny, "k2" -> NAny, "n" -> NAny),
-      wnTraceTables = Some(Seq("l")))
+      Nip.tup("s" -> NConst("hit"), "k" -> NAny, "k2" -> NAny, "n" -> NAny))
     assert(Baselines.wnPlusPlus(question).isEmpty)
     assert(Baselines.conseil(question).isEmpty)
   }
@@ -132,8 +130,7 @@ class BaselinesSpec extends SparkSpec {
     val q = Selection(3, Pred.gt("n", 10),
       Join(2, JoinKind.Inner, Seq("k" -> "k2"), TableAccess(0, "l"), TableAccess(1, "r")))
     val question = Question(q, Map("l" -> l, "r" -> r),
-      Nip.tup("s" -> NConst("hit"), "k" -> NAny, "n" -> NAny, "k2" -> NAny, "v" -> NAny),
-      wnTraceTables = Some(Seq("l")))
+      Nip.tup("s" -> NConst("hit"), "k" -> NAny, "n" -> NAny, "k2" -> NAny, "v" -> NAny))
     // a null key is never the join's fault (as for RP's retained flag)
     assert(Baselines.wnPlusPlus(question) == Seq(Set(3)))
     assert(Baselines.conseil(question).contains(Set(3)))

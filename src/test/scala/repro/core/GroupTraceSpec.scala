@@ -70,15 +70,18 @@ class GroupTraceSpec extends SparkSpec {
       val q = s.question; val ts = q.tableSchemas
       val p = Placement.backtrace(q.query, q.nip, ts)
       val rp = Trace.trace(q.query, q.tables, p, ts)
-      assert(rp.compat.isEmpty && rp.wnJoin.isEmpty, s.name)
       assert(rp.df.columns.forall(c => !c.contains("_compat_") && !c.contains("rid") && !c.contains("_wn")), s.name)
       assert(!nondeterministic(rp.df), s"${s.name}: nondeterministic RP trace")
       val wn = Trace.lineage(q.query, q.tables, p, ts)
+      // one lane per table, in query order
+      assert(wn.keys.toSeq == q.query.allOps.collect { case TableAccess(_, n) => n }.distinct, s.name)
+      // every join is tracked, by each side's lanes through its partner flag
       val joins = q.query.allOps.collect { case j: Join => j.id }.toSet
-      assert(wn.wnJoin.keySet == joins, s.name)
-      assert(wn.compat.keySet == q.query.allOps.collect { case TableAccess(_, n) => n }.toSet, s.name)
+      val tracked = wn.values.flatMap(_.tracked).toSeq
+      assert(tracked.map(_.opId).toSet.intersect(joins) == joins, s.name)
+      assert(tracked.filter(t => joins(t.opId)).forall(_.retCol.matches("__c\\d+_wn[LR]_\\d+")), s.name)
       // partner flags are windows over the join keys, not over row ids
-      assert(!nondeterministic(wn.df), s"${s.name}: nondeterministic lineage trace")
+      assert(!nondeterministic(wn.values.head.df), s"${s.name}: nondeterministic lineage trace")
     }
   }
 

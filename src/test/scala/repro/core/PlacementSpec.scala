@@ -18,7 +18,7 @@ class PlacementSpec extends AnyFunSuite {
   test("scalar constraint lands in the table NIP") {
     val q = Projection(1, ProjCol.keep("k", "v"), TableAccess(0, "r"))
     val p = Placement.backtrace(q, Nip.tup("k" -> NConst(7)), ts)
-    assert(p.constrainedTables == Set("r"))
+    assert(p.tableNips.keySet == Set("r"))
     assert(p.nipFor("r").matches(Seq("k" -> 7, "v" -> "x")))
     assert(!p.nipFor("r").matches(Seq("k" -> 8, "v" -> "x")))
   }
@@ -33,8 +33,7 @@ class PlacementSpec extends AnyFunSuite {
     val q = Selection(2, Pred.ge("year", 2019),
       FlattenRel(1, "addr", outer = false, TableAccess(0, "r")))
     val p = Placement.backtrace(q, Nip.tup("city" -> NConst("NY")), ts)
-    assert(p.flattenChecks.contains(1))
-    assert(p.flattenChecks(1) == Seq(("city", NConst("NY"))))
+    assert(p.checks == Map(1 -> Seq(("city", NConst("NY")))))
     // and the table NIP demands a nested element with city NY
     val ok = Seq("addr" -> Seq(Seq("city" -> "NY", "year" -> 2018)))
     val ko = Seq("addr" -> Seq(Seq("city" -> "LA", "year" -> 2019)))
@@ -52,15 +51,15 @@ class PlacementSpec extends AnyFunSuite {
   test("aggregate constraints are placed at the aggregation, not the source") {
     val q = Agg(1, Agg.keys("k"), Seq(AggSpec(AggFunc.Count, "v", "n")), TableAccess(0, "r"))
     val p = Placement.backtrace(q, Nip.tup("k" -> NConst(1), "n" -> NCmp(">=", 5L)), ts)
-    assert(p.aggChecks == Map(1 -> Seq(("n", NCmp(">=", 5L)))))
-    assert(p.constrainedTables == Set("r")) // only the key constraint
+    assert(p.checks == Map(1 -> Seq(("n", NCmp(">=", 5L)))))
+    assert(p.tableNips.keySet == Set("r")) // only the key constraint
   }
 
   test("derived projection constraints are placed at the projection") {
     val q = Projection(1, Seq(ProjCol("d", Arith("*", Attr("k"), Lit(2)))), TableAccess(0, "r"))
     val p = Placement.backtrace(q, Nip.tup("d" -> NCmp(">", 0)), ts)
-    assert(p.derivedChecks == Map(1 -> Seq(("d", NCmp(">", 0)))))
-    assert(p.constrainedTables.isEmpty)
+    assert(p.checks == Map(1 -> Seq(("d", NCmp(">", 0)))))
+    assert(p.tableNips.isEmpty)
   }
 
   test("nested-output bag patterns push element constraints to their sources") {
@@ -77,9 +76,19 @@ class PlacementSpec extends AnyFunSuite {
       Projection(2, ProjCol.keep("k", "v"), TableAccess(0, "r")),
       TableAccess(3, "s"))
     val p = Placement.backtrace(q, Nip.tup("v" -> NConst("a"), "sv" -> NConst("b")), ts)
-    assert(p.constrainedTables == Set("r", "s"))
+    assert(p.tableNips.keySet == Set("r", "s"))
     assert(p.nipFor("r").matches(Seq("v" -> "a")))
     assert(p.nipFor("s").matches(Seq("sv" -> "b")))
+  }
+
+  test("a subtree is constrained by its tables' NIPs or its operators' checks") {
+    val agg = Agg(2, Agg.keys("k"), Seq(AggSpec(AggFunc.Count, "v", "n")), TableAccess(0, "r"))
+    val q = Join(1, JoinKind.Inner, Seq("k" -> "sk"), agg, TableAccess(3, "s"))
+    val onAgg = Placement.backtrace(q, Nip.tup("n" -> NCmp(">", 1L), "sk" -> NAny), ts)
+    assert(onAgg.constrains(q) && onAgg.constrains(agg))
+    assert(!onAgg.constrains(TableAccess(0, "r")) && !onAgg.constrains(TableAccess(3, "s")))
+    val onS = Placement.backtrace(q, Nip.tup("sv" -> NConst("b")), ts)
+    assert(onS.constrains(TableAccess(3, "s")) && !onS.constrains(agg))
   }
 
   test("unknown why-not attribute is rejected") {
@@ -106,7 +115,7 @@ class PlacementSpec extends AnyFunSuite {
   test("NAny constraints place nothing") {
     val q = TableAccess(0, "r")
     val p = Placement.backtrace(q, Nip.tup("k" -> NAny, "v" -> NAny), ts)
-    assert(p.constrainedTables.isEmpty)
-    assert(p.flattenChecks.isEmpty && p.aggChecks.isEmpty && p.derivedChecks.isEmpty)
+    assert(p.tableNips.isEmpty && p.checks.isEmpty)
+    assert(!p.constrains(q))
   }
 }

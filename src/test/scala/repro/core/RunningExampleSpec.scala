@@ -52,7 +52,7 @@ class RunningExampleSpec extends SparkSpec {
 
   test("schema backtracing produces t̄_person with the NY constraint (Ex. 11)") {
     val p = Placement.backtrace(query, question.nip, question.tableSchemas)
-    assert(p.constrainedTables == Set("person"))
+    assert(p.tableNips.keySet == Set("person"))
     val nip = p.nipFor("person")
     // Sue matches (address2 nests (NY, 2018)), Peter does not
     val sue = Seq("name" -> "Sue",
@@ -62,7 +62,7 @@ class RunningExampleSpec extends SparkSpec {
     assert(nip.matches(sue))
     assert(!nip.matches(peter))
     // flatten revalidation check registered on the promoted city column
-    assert(p.flattenChecks.contains(1))
+    assert(p.checks.contains(1))
   }
 
   test("RPnoSA finds {σ2} (Example 19, SR_1)") {

@@ -110,8 +110,7 @@ class TraceSpec extends SparkSpec {
   }
 
   test("compat flags are not revalidated (WN++ keeps Sue's both rows)") {
-    val t = Trace.lineage(query, tables, Placement.backtrace(query, nip, ts), ts)
-    val compat = t.compat("person")
-    assert(t.df.filter(col(compat)).count() == 2) // both of Sue's address rows
+    val t = Trace.lineage(query, tables, Placement.backtrace(query, nip, ts), ts)("person")
+    assert(t.df.filter(col(t.consistent)).count() == 2) // both of Sue's address rows
   }
 }

@@ -1,8 +1,8 @@
 package repro.scenarios
 
 import repro.SparkSpec
-import repro.core.{SchemaAlts, Source}
-import repro.nrab.{Eval, Flatten}
+import repro.core.{Placement, SchemaAlts, Source}
+import repro.nrab.{Agg, Eval, Flatten, Projection, TableAccess}
 
 /** Aggregate reproduction of the paper's evaluation tables at unit-test
   * scale: Table 7 (counts + gold ranks), Table 3 (operator types per
@@ -26,6 +26,26 @@ class TablesSpec extends SparkSpec {
           assert(actual.map(_.fieldNames.toSeq).contains(promoted), s"${s.name} ${f.label}")
         }
       }
+    }
+  }
+
+  test("constraints are placed at operators and tables of the query, on columns they output") {
+    val placed = all.flatMap { s =>
+      val q = s.question; val ts = q.tableSchemas
+      (q.query +: SchemaAlts.enumerate(q.query, q.altGroups, ts).map(_.query))
+        .map(op => (s.name, op, ts, Placement.backtrace(op, q.nip, ts)))
+    }
+    assert(placed.size == all.size + 148) // each original query and all its alternatives
+    placed.foreach { case (name, op, ts, p) =>
+      p.checks.foreach { case (id, cs) =>
+        val at = op.find(id)
+        assert(at.exists { case _: Projection | _: Flatten | _: Agg => true; case _ => false },
+          s"$name: checks at $id name no projection, flatten or aggregation")
+        val outs = Source.colSources(at.get, ts)
+        cs.foreach { case (col, _) => assert(outs.contains(col), s"$name ${at.get.label}: $col") }
+      }
+      val read = op.allOps.collect { case TableAccess(_, n) => n }.toSet
+      assert(p.tableNips.keySet.subsetOf(read), s"$name: ${p.tableNips.keySet} not read")
     }
   }
 

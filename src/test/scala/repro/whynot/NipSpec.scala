@@ -131,6 +131,13 @@ class NipSpec extends SparkSpec {
     }
   }
 
+  test("an unknown comparison operator is rejected on construction, by name") {
+    Seq("==", "<>", "").foreach { op =>
+      val e = intercept[IllegalArgumentException](NCmp(op, 1))
+      assert(e.getMessage.contains(s"unknown comparison operator '$op'"), e.getMessage)
+    }
+  }
+
   test("property: a bag pattern built from an instance always matches it") {
     check(Prop.forAll { (xs0: List[Int]) =>
       val xs = xs0.take(8)
