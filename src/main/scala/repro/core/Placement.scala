@@ -41,7 +41,8 @@ object Placement {
     */
   def backtrace(query: Op, nip: NTup,
                 tableSchemas: Map[String, StructType]): Placement = {
-    val rootSources = Source.colSources(query, tableSchemas)
+    val schemas = Source.schemas(query, tableSchemas)
+    val rootSources = schemas(query.id)
 
     val pathCons  = Seq.newBuilder[(SrcPath, Nip)]
     // constraints on aggregate outputs and projection-derived values
@@ -95,12 +96,8 @@ object Placement {
     // revalidation checks at flatten operators: the path constraints on
     // the fields each flatten promotes
     val flattenChecks = query.allOps.collect { case f: Flatten =>
-      val attrSrc = Source.colSources(f.in, tableSchemas)(f.attr)
-      f.id -> Source.promoted(f, attrSrc, tableSchemas).flatMap { case (o, field) =>
-        Source.extendSource(attrSrc, field) match {
-          case p: SrcPath => paths.collect { case (cp, n) if cp == p => (o, n) }
-          case _          => Seq.empty
-        }
+      f.id -> Source.promoted(f, schemas(f.in.id)(f.attr), tableSchemas).flatMap { case (o, _) =>
+        paths.collect { case (p, n) if schemas(f.id)(o) == p => (o, n) }
       }
     }.filter(_._2.nonEmpty).toMap
 

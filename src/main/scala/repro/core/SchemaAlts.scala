@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.types.StructType
 import repro.nrab._
+import scala.collection.mutable
 
 /** A group of interchangeable source attributes (paper §5.2: attribute
   * alternatives are an *input* to the algorithm — provided by hand or by
@@ -48,14 +49,14 @@ object SchemaAlts {
       for (a <- acc; o <- opts) yield a ++ o
     }
 
-    def schemaOf(q: Op) = Source.colSources(q, tableSchemas).keys.toSeq
-    val origSchema = schemaOf(query)
+    val schemas = Source.schemas(query, tableSchemas)
+    val origSchema = schemas(query.id).keys.toSeq
     val lookup = mkLookup(groups) _
 
     val sas = combos.flatMap { assign =>
       try {
-        val (q2, changed) = substitute(query, lookup(assign), tableSchemas)
-        if (schemaOf(q2) == origSchema) Some(SchemaAlternative(0, q2, changed, assign))
+        val (q2, changed, schema) = substitute(query, lookup(assign), schemas, tableSchemas)
+        if (schema.keys.toSeq == origSchema) Some(SchemaAlternative(0, q2, changed, assign))
         else None
       } catch { case _: PruneSa => None }
     }
@@ -109,14 +110,17 @@ object SchemaAlts {
     SrcPath(parts.head, parts.tail)
   }
 
-  /** Rewrite ``op`` under the source-path translation ``lookup``; returns
-    * the substituted tree plus the ids of operators whose parameters
-    * changed (the SA's implied partial SR). Throws [[PruneSa]] when a
-    * translated reference is not accessible at its operator.
+  /** Rewrite ``op`` under the source-path translation ``lookup``, given
+    * ``op``'s [[Source.schemas]] table; returns the substituted tree, the
+    * ids of operators whose parameters changed (the SA's implied partial
+    * SR) and the substituted tree's output schema. Throws [[PruneSa]] when
+    * a translated reference is not accessible at its operator.
     */
-  def substitute(op: Op, lookup: SrcPath => SrcPath,
-                 tableSchemas: Map[String, StructType]): (Op, Set[Int]) = {
+  def substitute(op: Op, lookup: SrcPath => SrcPath, schemas: Map[Int, Source.Schema],
+                 tableSchemas: Map[String, StructType]): (Op, Set[Int], Source.Schema) = {
     val changed = Set.newBuilder[Int]
+    // the substituted operators' schemas, recorded as they are built
+    val substituted = mutable.Map.empty[Int, Source.Schema]
 
     def rename(a: String, s0: Map[String, SourceRef], s1: Map[String, SourceRef]): String =
       s0.get(a) match {
@@ -130,74 +134,74 @@ object SchemaAlts {
           if (s1.contains(a)) a else throw new PruneSa(s"column $a lost under substitution")
       }
 
-    def go(o: Op): Op = o match {
-      case t: TableAccess => t
+    def go(o: Op): Op = {
+      // the single input's schemas before and after substitution
+      lazy val (c0, c1, in2) = ctx(o.children.head)
+      def ren(a: String) = rename(a, c0, c1)
+      val o2 = o match {
+        case t: TableAccess => t
 
-      case Projection(id, cols, in) =>
-        val (c0, c1, in2) = ctx(in)
-        // A projection that passes BOTH sides of a swap through needs no
-        // rewriting — the swap is realized at the downstream operator that
-        // actually consumes the attribute (paper D3: the nesting, not the
-        // projection, is the explanation).
-        def coveredElsewhere(self: ProjCol, target: SourceRef): Boolean =
-          cols.exists(c2 => c2 != self && (c2.expr match {
-            case Attr(m) => c0.get(m).contains(target)
-            case _       => false
-          }))
-        val cols2 = cols.map { c =>
-          c.expr match {
-            case Attr(n) =>
-              val skip = c0.get(n) match {
-                case Some(p: SrcPath) =>
-                  val t = lookup(p); t != p && coveredElsewhere(c, t)
-                case _ => false
-              }
-              if (skip) c else c.copy(expr = Attr(rename(n, c0, c1)))
-            case e => c.copy(expr = e.mapAttrs(a => rename(a, c0, c1)))
+        case Projection(id, cols, _) =>
+          // A projection that passes BOTH sides of a swap through needs no
+          // rewriting — the swap is realized at the downstream operator that
+          // actually consumes the attribute (paper D3: the nesting, not the
+          // projection, is the explanation).
+          def coveredElsewhere(self: ProjCol, target: SourceRef): Boolean =
+            cols.exists(c2 => c2 != self && (c2.expr match {
+              case Attr(m) => c0.get(m).contains(target)
+              case _       => false
+            }))
+          val cols2 = cols.map { c =>
+            c.expr match {
+              case Attr(n) =>
+                val skip = c0.get(n) match {
+                  case Some(p: SrcPath) =>
+                    val t = lookup(p); t != p && coveredElsewhere(c, t)
+                  case _ => false
+                }
+                if (skip) c else c.copy(expr = Attr(ren(n)))
+              case e => c.copy(expr = e.mapAttrs(ren))
+            }
           }
-        }
-        mark(id, cols2 != cols); Projection(id, cols2, in2)
+          mark(id, cols2 != cols); Projection(id, cols2, in2)
 
-      case Renaming(id, renames, in) =>
-        val (c0, c1, in2) = ctx(in)
-        val rs2 = renames.map { case (nu, old) => nu -> rename(old, c0, c1) }
-        mark(id, rs2 != renames); Renaming(id, rs2, in2)
+        case Renaming(id, renames, _) =>
+          val rs2 = renames.map { case (nu, old) => nu -> ren(old) }
+          mark(id, rs2 != renames); Renaming(id, rs2, in2)
 
-      case Selection(id, pred, in) =>
-        val (c0, c1, in2) = ctx(in)
-        val p2 = pred.mapAttrs(a => rename(a, c0, c1))
-        mark(id, p2 != pred); Selection(id, p2, in2)
+        case Selection(id, pred, _) =>
+          val p2 = pred.mapAttrs(ren)
+          mark(id, p2 != pred); Selection(id, p2, in2)
 
-      case Join(id, kind, conds, l, r) =>
-        val (l0, l1, l2) = ctx(l); val (r0, r1, r2) = ctx(r)
-        val conds2 = conds.map { case (a, b) => rename(a, l0, l1) -> rename(b, r0, r1) }
-        mark(id, conds2 != conds); Join(id, kind, conds2, l2, r2)
+        case Join(id, kind, conds, l, r) =>
+          val (l0, l1, l2) = ctx(l); val (r0, r1, r2) = ctx(r)
+          val conds2 = conds.map { case (a, b) => rename(a, l0, l1) -> rename(b, r0, r1) }
+          mark(id, conds2 != conds); Join(id, kind, conds2, l2, r2)
 
-      case f: Flatten =>
-        val (c0, c1, in2) = ctx(f.in)
-        val aliases = Source.promoted(f, c0(f.attr), tableSchemas)
-        val (attr2, al2) = flattenSubst(f.attr, aliases, c0, c1)
-        mark(f.id, attr2 != f.attr || al2 != aliases)
-        f.withParams(attr2, in2, Some(al2))
+        case f: Flatten =>
+          val aliases = Source.promoted(f, c0(f.attr), tableSchemas)
+          val (attr2, al2) = flattenSubst(f.attr, aliases, c0, c1)
+          mark(f.id, attr2 != f.attr || al2 != aliases)
+          f.withParams(attr2, in2, Some(al2))
 
-      case NestRel(id, nested, out, in) =>
-        val (c0, c1, in2) = ctx(in)
-        val n2 = nested.map(a => rename(a, c0, c1))
-        mark(id, n2 != nested); NestRel(id, n2, out, in2)
+        case NestRel(id, nested, out, _) =>
+          val n2 = nested.map(ren)
+          mark(id, n2 != nested); NestRel(id, n2, out, in2)
 
-      case NestTup(id, fields, out, in) =>
-        val (c0, c1, in2) = ctx(in)
-        val f2 = fields.map { case (o, a) => o -> rename(a, c0, c1) }
-        mark(id, f2 != fields); NestTup(id, f2, out, in2)
+        case NestTup(id, fields, out, _) =>
+          val f2 = fields.map { case (o, a) => o -> ren(a) }
+          mark(id, f2 != fields); NestTup(id, f2, out, in2)
 
-      case Agg(id, groupBy, aggs, in) =>
-        val (c0, c1, in2) = ctx(in)
-        val g2 = groupBy.map { case (o, a) => o -> rename(a, c0, c1) }
-        val a2 = aggs.map(s => s.copy(expr = s.expr.map(_.mapAttrs(a => rename(a, c0, c1)))))
-        mark(id, g2 != groupBy || a2 != aggs); Agg(id, g2, a2, in2)
+        case Agg(id, groupBy, aggs, _) =>
+          val g2 = groupBy.map { case (o, a) => o -> ren(a) }
+          val a2 = aggs.map(s => s.copy(expr = s.expr.map(_.mapAttrs(ren))))
+          mark(id, g2 != groupBy || a2 != aggs); Agg(id, g2, a2, in2)
 
-      case UnionOp(id, l, r) => UnionOp(id, go(l), go(r))
-      case Dedup(id, in)     => Dedup(id, go(in))
+        case UnionOp(id, l, r) => UnionOp(id, go(l), go(r))
+        case Dedup(id, in)     => Dedup(id, go(in))
+      }
+      substituted(o2.id) = Source.schemaOf(o2, c => substituted(c.id), tableSchemas)
+      o2
     }
 
     /** Substitute a flatten's attribute + aliases: the attribute follows
@@ -242,12 +246,12 @@ object SchemaAlts {
 
     def ctx(in: Op): (Map[String, SourceRef], Map[String, SourceRef], Op) = {
       val in2 = go(in)
-      (Source.colSources(in, tableSchemas), Source.colSources(in2, tableSchemas), in2)
+      (schemas(in.id), substituted(in2.id), in2)
     }
 
     def mark(id: Int, isChanged: Boolean): Unit = if (isChanged) changed += id
 
     val out = go(op)
-    (out, changed.result())
+    (out, changed.result(), substituted(out.id))
   }
 }

@@ -3,11 +3,13 @@ package repro.core
 import org.apache.spark.sql.types.{DataType, StructType}
 import repro.nrab._
 import scala.collection.immutable.ListMap
+import scala.collection.mutable
 
 /** Source provenance of columns — the data-independent half of schema
   * backtracing (paper §5.1). For every operator we compute where each of
   * its output columns originates: a base-table path, an aggregate output,
-  * a nested relation built by nesting, or an opaque derived value. The
+  * a nested relation built by nesting, or an opaque derived value — for
+  * all operators of a query in one walk ([[Source.schemas]]). The
   * mapping M_sbt (operator attribute reference -> source attribute) is
   * [[Source.opRefs]].
   */
@@ -37,19 +39,43 @@ final case class SrcDerived(opId: Int, out: String, inputs: Set[SourceRef]) exte
 
 object Source {
 
-  /** Output column -> source for operator ``op``, in output-column order:
-    * the keys are ``op``'s output schema (paper Table 1). This is the one
-    * per-operator schema rule; output names, provenance and nested fields
-    * all derive from it. ``tableSchemas`` gives each base table's schema,
-    * nested element fields included.
+  /** One operator's output schema: output column -> source, in order. */
+  type Schema = ListMap[String, SourceRef]
+
+  /** Every operator's output schema in ``root``'s tree, keyed by operator
+    * id, from one bottom-up walk. Explanations are sets of ids, so an id
+    * naming two different operators raises `IllegalArgumentException`;
+    * identical subtrees (a self-union) share their entries.
+    * ``tableSchemas`` gives each base table's schema, nested fields
+    * included.
     */
-  def colSources(op: Op, tableSchemas: Map[String, StructType]): ListMap[String, SourceRef] =
+  def schemas(root: Op, tableSchemas: Map[String, StructType]): Map[Int, Schema] = {
+    val seen = mutable.Map.empty[Int, (Op, Schema)]
+    def visit(op: Op): Unit = if (!seen.get(op.id).exists(_._1 == op)) {
+      op.children.foreach(visit)
+      seen.get(op.id).foreach { case (other, _) => throw new IllegalArgumentException(
+        s"operator id ${op.id} names two different operators: ${other.label} and ${op.label}") }
+      seen(op.id) = op -> schemaOf(op, c => seen(c.id)._2, tableSchemas)
+    }
+    visit(root)
+    seen.view.mapValues(_._2).toMap
+  }
+
+  /** ``op``'s output schema: [[schemas]] read at the root. */
+  def colSources(op: Op, tableSchemas: Map[String, StructType]): Schema =
+    schemas(op, tableSchemas)(op.id)
+
+  /** ``op``'s output schema from its inputs' schemas ``in`` (paper
+    * Table 1). This is the one per-operator schema rule; output names,
+    * provenance and nested fields all derive from it.
+    */
+  def schemaOf(op: Op, in: Op => Schema, tableSchemas: Map[String, StructType]): Schema = {
+    lazy val src = in(op.children.head)
     op match {
       case TableAccess(_, name) =>
         ListMap.from(table(name, tableSchemas).fieldNames.map(c => c -> SrcPath(name, List(c))))
 
-      case Projection(id, cols, in) =>
-        val src = colSources(in, tableSchemas)
+      case Projection(id, cols, _) =>
         ListMap.from(cols.map { c =>
           c.expr match {
             case Attr(n) => c.out -> src(n)
@@ -57,41 +83,34 @@ object Source {
           }
         })
 
-      case Renaming(_, renames, in) =>
-        val src = colSources(in, tableSchemas)
-        ListMap.from(renames.map { case (nu, old) => nu -> src(old) })
+      case Renaming(_, renames, _) => ListMap.from(renames.map { case (nu, old) => nu -> src(old) })
 
-      case Selection(_, _, in) => colSources(in, tableSchemas)
-      case Dedup(_, in)        => colSources(in, tableSchemas)
-      case UnionOp(_, l, _)    => colSources(l, tableSchemas)
+      case _: Selection | _: Dedup | _: UnionOp => src
 
       case Join(_, _, _, l, r) =>
-        val (ls, rs) = (colSources(l, tableSchemas), colSources(r, tableSchemas))
+        val (ls, rs) = (in(l), in(r))
         Eval.requireDisjoint(ls.keys, rs.keys)
         ls ++ rs
 
       case f: Flatten =>
-        val src = colSources(f.in, tableSchemas)
         val attrSrc = src(f.attr)
         (if (f.keepsAttr) src else src - f.attr) ++
           promoted(f, attrSrc, tableSchemas).map { case (out, field) =>
             out -> extendSource(attrSrc, field)
           }
 
-      case NestRel(id, nested, out, in) =>
-        val src = colSources(in, tableSchemas)
+      case NestRel(id, nested, out, _) =>
         (src -- nested) + (out -> SrcNested(id, ListMap.from(nested.map(n => n -> src(n)))))
 
-      case NestTup(id, fields, out, in) =>
-        val src = colSources(in, tableSchemas)
+      case NestTup(id, fields, out, _) =>
         (src -- fields.map(_._2)) +
           (out -> SrcNested(id, ListMap.from(fields.map { case (o, a) => o -> src(a) })))
 
-      case Agg(id, groupBy, aggs, in) =>
-        val src = colSources(in, tableSchemas)
+      case Agg(id, groupBy, aggs, _) =>
         ListMap.from(groupBy.map { case (o, a) => o -> src(a) } ++
           aggs.map(a => a.out -> SrcAgg(id, a.out)))
     }
+  }
 
   /** (outputName, elementField) pairs promoted by ``f`` whose attribute
     * has source ``attrSrc``: the explicit aliases, else every field of the
@@ -128,41 +147,26 @@ object Source {
     tableSchemas.getOrElse(name, throw new IllegalArgumentException(s"unknown table: $name"))
 
   /** M_sbt: attribute references of every operator resolved to sources,
-    * as (opId, source) pairs. Flatten aliases resolve each consumed
-    * element field; join conditions resolve per side.
+    * as (opId, source) pairs, operators in pre-order. Flatten aliases
+    * resolve each consumed element field; join conditions resolve per side.
     */
   def opRefs(root: Op, tableSchemas: Map[String, StructType]): Seq[(Int, SourceRef)] = {
-    val out = Seq.newBuilder[(Int, SourceRef)]
-    def visit(op: Op): Unit = {
-      op.children.foreach(visit)
-      def src(child: Op) = colSources(child, tableSchemas)
-      op match {
-        case Projection(id, cols, in) =>
-          val s = src(in); cols.foreach(c => c.expr.attrs.foreach(a => out += id -> s(a)))
-        case Selection(id, pred, in) =>
-          val s = src(in); pred.attrs.foreach(a => out += id -> s(a))
-        case Join(id, _, conds, l, r) =>
-          val (ls, rs) = (src(l), src(r))
-          conds.foreach { case (a, b) => out += id -> ls(a); out += id -> rs(b) }
+    val schema = schemas(root, tableSchemas)
+    def src(in: Op)(a: String) = schema(in.id)(a)
+    root.allOps.flatMap { op =>
+      (op match {
+        case Projection(_, cols, in)   => cols.flatMap(_.expr.attrs).map(src(in))
+        case Selection(_, pred, in)    => pred.attrs.toSeq.map(src(in))
+        case Join(_, _, conds, l, r)   => conds.flatMap { case (a, b) => Seq(src(l)(a), src(r)(b)) }
         case f: Flatten =>
-          val s = src(f.in); out += f.id -> s(f.attr)
-          promoted(f, s(f.attr), tableSchemas).foreach { case (_, field) =>
-            out += f.id -> extendSource(s(f.attr), field)
-          }
-        case NestRel(id, nested, _, in) =>
-          val s = src(in); nested.foreach(n => out += id -> s(n))
-        case NestTup(id, fields, _, in) =>
-          val s = src(in); fields.foreach { case (_, a) => out += id -> s(a) }
-        case Agg(id, groupBy, aggs, in) =>
-          val s = src(in)
-          groupBy.foreach { case (_, a) => out += id -> s(a) }
-          aggs.foreach(a => a.attrs.foreach(n => out += id -> s(n)))
-        case Renaming(id, renames, in) =>
-          val s = src(in); renames.foreach { case (_, old) => out += id -> s(old) }
-        case _ => ()
-      }
+          val s = src(f.in)(f.attr)
+          s +: promoted(f, s, tableSchemas).map { case (_, field) => extendSource(s, field) }
+        case NestRel(_, nested, _, in) => nested.map(src(in))
+        case NestTup(_, fields, _, in) => fields.map(f => src(in)(f._2))
+        case Agg(_, groupBy, aggs, in) => (groupBy.map(_._2) ++ aggs.flatMap(_.attrs)).map(src(in))
+        case Renaming(_, renames, in)  => renames.map(r => src(in)(r._2))
+        case _                         => Seq.empty
+      }).map(op.id -> _)
     }
-    visit(root)
-    out.result()
   }
 }

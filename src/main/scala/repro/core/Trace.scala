@@ -19,7 +19,8 @@ final case class TrackedOp(opId: Int, retCol: String)
   * same row grain are traced together ([[Trace.group]]): they share
   * ``df`` and each reads its own columns of it.
   *
-  *  - ``cols``       algebra column name -> physical column
+  *  - ``cols``       algebra column name -> physical column; none for a
+  *                   nesting output ([[SrcNested]] in [[Source.schemas]])
   *  - ``consistent`` cumulative revalidated compatibility (paper's
   *                   consistent flag: the row can still contribute to the
   *                   missing answer)
@@ -40,8 +41,7 @@ final case class Traced(
     cols: Map[String, String],
     consistent: String,
     alive: String,
-    tracked: Seq[TrackedOp],
-    virtual: Set[String] = Set.empty) {
+    tracked: Seq[TrackedOp]) {
   def resolve(name: String): Column =
     col(cols.getOrElse(name, throw new IllegalArgumentException(
       s"unresolvable attribute $name (have ${cols.keys.toSeq.sorted.mkString(", ")})")))
@@ -77,7 +77,7 @@ object Trace {
     */
   def group(queries: Seq[(Op, Placement)], catalog: Map[String, DataFrame],
             tableSchemas: Map[String, StructType]): Seq[Traced] =
-    new Tracer(catalog, queries.map(_._2), tableSchemas, lineage = None).go(queries.map(_._1))
+    new Tracer(catalog, queries, tableSchemas, lineage = None).go(queries.map(_._1))
 
   /** Trace ``query`` for the lineage baselines: one lane per table the
     * query reads, keyed by table name in query order, all over one ``df``.
@@ -91,7 +91,7 @@ object Trace {
   def lineage(query: Op, catalog: Map[String, DataFrame], placement: Placement,
               tableSchemas: Map[String, StructType],
               compatOverride: Map[String, Pred] = Map.empty): ListMap[String, Traced] = {
-    val tracer = new Tracer(catalog, Seq(placement), tableSchemas, Some(compatOverride))
+    val tracer = new Tracer(catalog, Seq(query -> placement), tableSchemas, Some(compatOverride))
     val traced = tracer.go(Seq(query)).head
     val tables = query.allOps.collect { case TableAccess(_, n) => n }.distinct
     ListMap.from(tables.map { table =>
@@ -115,24 +115,35 @@ object Trace {
     * equal row grain trace the same rows and can share one [[group]].
     */
   def rowGrain(query: Op, tableSchemas: Map[String, StructType]): Seq[(Int, Seq[SourceRef])] = {
-    def src(op: Op) = Source.colSources(op, tableSchemas)
+    val src = Source.schemas(query, tableSchemas)
     query.allOps.collect {
-      case f: FlattenRel => f.id -> Seq(src(f.in)(f.attr))
-      case j: Join =>
-        val (ls, rs) = (src(j.left), src(j.right))
-        j.id -> j.conds.flatMap { case (a, b) => Seq(ls(a), rs(b)) }
+      case f: FlattenRel => f.id -> Seq(src(f.in.id)(f.attr))
+      case j: Join => j.id -> j.conds.flatMap { case (a, b) => Seq(src(j.left.id)(a), src(j.right.id)(b)) }
     }
   }
 
   private def bool(c: Column): Column = coalesce(c, lit(false))
 
-  /** One trace over the lanes ``placements`` (one per traced query).
-    * ``lineage`` holds the compat overrides when the baselines' lineage
-    * annotations of the one traced query are wanted; the tracer records
-    * their columns in ``compat`` and ``partners``.
+  /** One traced query's placement and [[Source.schemas]] table. */
+  private final case class Lane(placement: Placement, schemas: Map[Int, Source.Schema]) {
+    /** Is ``in``'s output ``a`` a nesting output (no physical column)? */
+    def nested(in: Op, a: String): Boolean = schemas(in.id)(a).isInstanceOf[SrcNested]
+
+    /** ``in``'s output ``a`` in ``t``, read by ``op`` as its ``what``. */
+    def read(t: Traced, op: Op, in: Op, a: String, what: String): String =
+      if (nested(in, a)) throw new UnsupportedTraceInput(op.label,
+        s"its $what $a is a nesting output, which the row-grain tracer does not build")
+      else t.cols(a)
+  }
+
+  /** One trace with a lane per query of ``queries``. ``lineage`` holds
+    * the compat overrides when the baselines' lineage annotations of the
+    * one traced query are wanted; the tracer records their columns in
+    * ``compat`` and ``partners``.
     */
-  private final class Tracer(catalog: Map[String, DataFrame], placements: Seq[Placement],
+  private final class Tracer(catalog: Map[String, DataFrame], queries: Seq[(Op, Placement)],
                              ts: Map[String, StructType], lineage: Option[Map[String, Pred]]) {
+    private val lanes = queries.map { case (q, p) => Lane(p, Source.schemas(q, ts)) }
     /** Per source table: compatibility without revalidation. */
     val compat = mutable.Map.empty[String, String]
     /** Per join: original-world partner existence for its left/right side. */
@@ -176,21 +187,17 @@ object Trace {
         case _: Projection => projection(ops.collect { case p: Projection => p })
         case _: Renaming =>
           val rs = ops.collect { case r: Renaming => r }
-          go(rs.map(_.in)).zip(rs).map { case (t, r) =>
-            t.copy(cols = r.renames.map { case (nu, old) => nu -> t.cols(old) }.toMap)
+          go(rs.map(_.in)).zip(rs).zip(lanes).map { case ((t, r), l) =>
+            t.copy(cols = r.renames.collect { case (nu, old) if !l.nested(r.in, old) => nu -> t.cols(old) }.toMap)
           }
         case _: Flatten    => flatten(ops.collect { case f: Flatten => f })
         case _: Join       => join(ops.collect { case j: Join => j })
         case _: Agg        => agg(ops.collect { case a: Agg => a })
         // Nesting keeps row grain in the tracer: the group members stay
-        // visible and the element constraints were already pushed to them
-        // by backtracing; the nested attribute becomes a *virtual* column
-        // that downstream projections may pass through but no predicate
-        // may read.
-        case _: NestRel | _: NestTup =>
-          val outs = ops.collect { case r: NestRel => r.out; case r: NestTup => r.out }
-          go(ops.flatMap(_.children)).zip(outs).map { case (t, o) => t.copy(virtual = t.virtual + o) }
-        case _: Dedup => go(ops.flatMap(_.children))
+        // visible, their element constraints already pushed to them by
+        // backtracing. The nesting output has no physical column: only
+        // projections, renamings and joins pass it through (see Lane).
+        case _: NestRel | _: NestTup | _: Dedup => go(ops.flatMap(_.children))
         case u: UnionOp =>
           throw new UnsupportedTraceInput(u.label, "the row-grain tracer does not trace through a union")
       }
@@ -199,12 +206,8 @@ object Trace {
     private def table(name: String): Seq[Traced] = {
       val src = catalog(name)
       val colMap = src.columns.map(c => c -> fresh(c)).toMap
-      // compat-override predicates may use dotted paths into structs
-      def dotted(p: String): Column = {
-        val parts = p.split('.'); parts.tail.foldLeft(src(parts.head))(_.getField(_))
-      }
-      val cons = placements.map(pl => bool(Nip.toColumn(pl.nipFor(name), c => src(c))))
-      val compatible = lineage.map(_.get(name).map(p => bool(p.toColumn(dotted))).getOrElse(cons.head))
+      val cons = lanes.map(l => bool(Nip.toColumn(l.placement.nipFor(name), c => src(c))))
+      val compatible = lineage.map(_.get(name).map(p => bool(p.toColumn(src(_)))).getOrElse(cons.head))
       val (df, pc) = emit(src,
         cons.map("consistent" -> _) ++ Seq("alive" -> lit(true)) ++ compatible.map(s"compat_$name" -> _),
         keep = src.columns.toSeq.map(c => src(c).as(colMap(c))))
@@ -226,21 +229,19 @@ object Trace {
     private def projection(ps: Seq[Projection]): Seq[Traced] = {
       val in = go(ps.map(_.in))
       // per lane: kept columns (physical), derived expressions and the
-      // revalidated consistency; nesting outputs have no physical column
-      // at row grain, so they stay virtual and pass through untouched
-      val lanes = in.zip(ps).zip(placements).map { case ((t, p), pl) =>
-        val kept = p.cols.collect { case ProjCol(o, Attr(a)) if !t.virtual(a) => o -> t.cols(a) }
-        val virt = p.cols.collect { case ProjCol(o, Attr(a)) if t.virtual(a) => o }.toSet
+      // revalidated consistency; nesting outputs pass through untouched
+      val perLane = in.zip(ps).zip(lanes).map { case ((t, p), l) =>
+        val kept = p.cols.collect { case ProjCol(o, Attr(a)) if !l.nested(p.in, a) => o -> t.cols(a) }
         val derived = p.cols.filterNot(_.expr.isInstanceOf[Attr]).map(c => c.out -> c.expr.toColumn(t.resolve))
         val value = kept.map { case (o, pc) => o -> col(pc) }.toMap ++ derived
-        val checks = pl.checks.getOrElse(p.id, Seq.empty).map { case (o, nip) => Nip.primColumn(nip, value(o)) }
-        (kept, virt, derived, checked(t, checks))
+        val checks = l.placement.checks.getOrElse(p.id, Seq.empty).map { case (o, n) => Nip.primColumn(n, value(o)) }
+        (kept, derived, checked(t, checks))
       }
-      val (df, pc) = emit(in.head.df, lanes.flatMap { case (_, _, derived, cons) =>
+      val (df, pc) = emit(in.head.df, perLane.flatMap { case (_, derived, cons) =>
         derived ++ cons.map("consistent" -> _)
       })
-      in.zip(lanes).map { case (t, (kept, virt, derived, cons)) =>
-        t.copy(df = df, cols = (kept ++ derived.map { case (o, c) => o -> pc(c) }).toMap, virtual = virt,
+      in.zip(perLane).map { case (t, (kept, derived, cons)) =>
+        t.copy(df = df, cols = (kept ++ derived.map { case (o, c) => o -> pc(c) }).toMap,
           consistent = cons.map(pc).getOrElse(t.consistent))
       }
     }
@@ -250,29 +251,30 @@ object Trace {
       val f0 = fs.head
       // a relation flatten explodes the (shared) attribute into an element
       // column; a tuple flatten reads each lane's attribute directly
+      val attrs = in.zip(fs).zip(lanes).map { case ((t, f), l) => l.read(t, f, f.in, f.attr, "flattened attribute") }
       val (df0, elems) = f0 match {
         case _: FlattenRel =>
-          val attr = shared(f0, "flattened attribute", in.zip(fs).map { case (t, f) => t.cols(f.attr) })
+          val attr = shared(f0, "flattened attribute", attrs)
           val x = fresh("x")
           (in.head.df.select(col("*"), explode_outer(col(attr)).as(x)), fs.map(_ => col(x)))
-        case _: FlattenTup => (in.head.df, in.zip(fs).map { case (t, f) => col(t.cols(f.attr)) })
+        case _: FlattenTup => (in.head.df, attrs.map(col))
       }
       // only an inner flatten can drop rows, so only it records a retained flag
       val ret = f0 match {
         case FlattenRel(_, _, false, _, _) => Some(elems.head.isNotNull)
         case _                             => None
       }
-      val lanes = in.zip(fs).zip(elems).zip(placements).map { case (((t, f), elem), pl) =>
-        val promoted = Source.promoted(f, Source.colSources(f.in, ts)(f.attr), ts)
+      val perLane = in.zip(fs).zip(elems).zip(lanes).map { case (((t, f), elem), l) =>
+        val promoted = Source.promoted(f, l.schemas(f.in.id)(f.attr), ts)
           .map { case (o, field) => o -> elem.getField(field) }
-        val checks = pl.checks.getOrElse(f.id, Seq.empty)
+        val checks = l.placement.checks.getOrElse(f.id, Seq.empty)
           .map { case (o, nip) => Nip.primColumn(nip, promoted.toMap.apply(o)) }
         (promoted, ret.map(col(t.alive) && _), checked(t, checks))
       }
-      val (df, pc) = emit(df0, ret.map(s"ret_${f0.id}" -> _).toSeq ++ lanes.flatMap { case (promoted, alive, cons) =>
+      val (df, pc) = emit(df0, ret.map(s"ret_${f0.id}" -> _).toSeq ++ perLane.flatMap { case (promoted, alive, cons) =>
         promoted ++ alive.map("alive" -> _) ++ cons.map("consistent" -> _)
       })
-      in.zip(fs).zip(lanes).map { case ((t, f), (promoted, alive, cons)) =>
+      in.zip(fs).zip(perLane).map { case ((t, f), (promoted, alive, cons)) =>
         t.copy(df = df,
           cols = (if (f.keepsAttr) t.cols else t.cols - f.attr) ++ promoted.map { case (o, c) => o -> pc(c) },
           alive = alive.map(pc).getOrElse(t.alive),
@@ -285,8 +287,9 @@ object Trace {
       val (ls, rs) = (go(js.map(_.left)), go(js.map(_.right)))
       val j0 = js.head
       val keys = j0.conds.indices.map { i =>
-        (shared(j0, "left join key", ls.zip(js).map { case (t, j) => t.cols(j.conds(i)._1) }),
-         shared(j0, "right join key", rs.zip(js).map { case (t, j) => t.cols(j.conds(i)._2) }))
+        def key(what: String, side: Seq[Traced], in: Join => Op, attr: Join => String) = shared(j0, what,
+          side.zip(js).zip(lanes).map { case ((t, j), l) => l.read(t, j, in(j), attr(j), what) })
+        (key("left join key", ls, _.left, _.conds(i)._1), key("right join key", rs, _.right, _.conds(i)._2))
       }
       // a presence flag per side
       def side(df: DataFrame, hint: String): (DataFrame, String) = {
@@ -312,11 +315,11 @@ object Trace {
       }
       val ret = baseRet || (hasL && lKeyNull) || (hasR && rKeyNull)
 
-      val lanes = ls.zip(rs).zip(js).zip(placements).map { case (((tl, tr), j), p) =>
+      val perLane = ls.zip(rs).zip(js).zip(lanes).map { case (((tl, tr), j), l) =>
         // original-world survival of a pairing: both sides alive and matched
         val alive = bool(col(tl.alive)) && bool(col(tr.alive)) && hasL && hasR
-        val cons = coalesce(col(tl.consistent), lit(!p.constrains(j.left))) &&
-          coalesce(col(tr.consistent), lit(!p.constrains(j.right)))
+        val cons = coalesce(col(tl.consistent), lit(!l.placement.constrains(j.left))) &&
+          coalesce(col(tr.consistent), lit(!l.placement.constrains(j.right)))
         // original-world partner existence per lineage side (baselines): in
         // an equi-join every row with key k has the same partners
         def partner(key: Seq[String], other: Traced, otherHere: Column, keyNull: Column) =
@@ -326,11 +329,11 @@ object Trace {
           (partner(keys.map(_._1), tr, hasR, lKeyNull), partner(keys.map(_._2), tl, hasL, rKeyNull)))
         (tl, tr, alive, cons, sides)
       }
-      val (df, pc) = emit(joined, (s"ret_${j0.id}" -> ret) +: lanes.flatMap { case (_, _, alive, cons, sides) =>
+      val (df, pc) = emit(joined, (s"ret_${j0.id}" -> ret) +: perLane.flatMap { case (_, _, alive, cons, sides) =>
         Seq("alive" -> alive, "consistent" -> cons) ++
           sides.toSeq.flatMap { case (wl, wr) => Seq(s"wnL_${j0.id}" -> wl, s"wnR_${j0.id}" -> wr) }
       })
-      lanes.map { case (tl, tr, alive, cons, sides) =>
+      perLane.map { case (tl, tr, alive, cons, sides) =>
         sides.foreach { case (wl, wr) => partners(j0.id) = (pc(wl), pc(wr)) }
         Traced(df, tl.cols ++ tr.cols, pc(cons), pc(alive), tl.tracked ++ tr.tracked :+ TrackedOp(j0.id, pc(ret)))
       }
@@ -338,25 +341,25 @@ object Trace {
 
     private def agg(as: Seq[Agg]): Seq[Traced] = {
       val in = go(as.map(_.in))
-      val lanes = in.zip(as).zip(placements).map { case ((t, a), pl) =>
-        val keys = a.groupBy.map { case (_, k) => col(t.cols(k)) }
-        val w = if (keys.isEmpty) Window.partitionBy(lit(1)) else Window.partitionBy(keys: _*)
+      val perLane = in.zip(as).zip(lanes).map { case ((t, a), l) =>
+        val keys = a.groupBy.map { case (o, k) => o -> l.read(t, a, a.in, k, "group-by key") }
+        val w = if (keys.isEmpty) Window.partitionBy(lit(1)) else Window.partitionBy(keys.map(k => col(k._2)): _*)
         def value(spec: AggSpec) = spec.expr.map(_.toColumn(t.resolve))
         // each aggregate's value in the ORIGINAL pipeline
         val outs = a.aggs.map(spec => spec.out -> spec.func.aliveOver(value(spec), col(t.alive), w))
         // aggregate-constraint satisfiability under full relaxation
-        val checks = pl.checks.getOrElse(a.id, Seq.empty).map { case (out, prim) =>
+        val checks = l.placement.checks.getOrElse(a.id, Seq.empty).map { case (out, prim) =>
           val spec = a.aggs.find(_.out == out).getOrElse(
             throw new IllegalArgumentException(s"agg constraint on unknown output $out"))
           val (lo, hi) = spec.func.relaxedOver(value(spec), w)
           Nip.satisfiable(prim, lo, hi)
         }
-        (outs, checked(t, checks))
+        (keys, outs, checked(t, checks))
       }
-      val (df, pc) = emit(in.head.df, lanes.flatMap { case (outs, cons) => outs ++ cons.map("consistent" -> _) })
-      in.zip(as).zip(lanes).map { case ((t, a), (outs, cons)) =>
+      val (df, pc) = emit(in.head.df, perLane.flatMap { case (_, outs, cons) => outs ++ cons.map("consistent" -> _) })
+      in.zip(perLane).map { case (t, (keys, outs, cons)) =>
         t.copy(df = df,
-          cols = a.groupBy.map { case (o, k) => o -> t.cols(k) }.toMap ++ outs.map { case (o, c) => o -> pc(c) },
+          cols = keys.toMap ++ outs.map { case (o, c) => o -> pc(c) },
           consistent = cons.map(pc).getOrElse(t.consistent))
       }
     }

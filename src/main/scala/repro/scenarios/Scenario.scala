@@ -51,17 +51,9 @@ final case class ScenarioResult(
     rpNoSa: Seq[Set[String]],
     rp: Seq[Set[String]]) {
 
-  def counts: (Int, Int, Int) = (wn.size, rpNoSa.size, rp.size)
-
   /** 1-based position of ``gold`` in the RP ranking, if present. */
   def goldPosition(gold: Set[String]): Option[Int] = {
     val i = rp.indexOf(gold)
     if (i >= 0) Some(i + 1) else None
   }
-
-  private def fmt(ss: Seq[Set[String]]): String =
-    if (ss.isEmpty) "∅" else ss.map(_.toSeq.sorted.mkString("{", ",", "}")).mkString("  ")
-
-  def render: String =
-    f"$name%-6s | WN++: ${fmt(wn)}%-24s | RPnoSA: ${fmt(rpNoSa)}%-40s | RP: ${fmt(rp)}"
 }

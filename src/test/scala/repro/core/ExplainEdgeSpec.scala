@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.baselines.Baselines
 import repro.data.Person
 import repro.nrab._
 import repro.whynot._
@@ -63,6 +64,50 @@ class ExplainEdgeSpec extends SparkSpec {
     val es = Explain.rpNoSA(Question(qo, Map("person" -> Person.table(spark)),
       Nip.tup("city" -> NConst("NY"), "name" -> NAny)))
     assert(es.map(_.ops) == Seq(Set(2)))
+  }
+
+  // Sue's NY address of 2018 fails σ2; a NestTup packs who and when of
+  // each flattened address into `info`, which passes the join with
+  // `cities` on the city
+  private def packed: Op =
+    NestTup(3, Seq("who" -> "name", "when" -> "year"), "info",
+      Selection(2, Pred.ge("year", 2019),
+        FlattenRel(1, "address2", outer = false, TableAccess(0, "person"))))
+
+  private def joined(left: Op): Op =
+    Join(6, JoinKind.Inner, Seq("city" -> "c"), left, TableAccess(5, "cities"))
+
+  private def withCities(query: Op, nip: NTup) = {
+    import spark.implicits._
+    Question(query, Map("person" -> Person.table(spark),
+      "cities" -> Seq(("NY", "east"), ("LA", "west")).toDF("c", "coast")), nip,
+      Seq(AltGroup(Seq("person.address2", "person.address1"))))
+  }
+
+  test("a nesting output passes a join into a projection and a renaming") {
+    val projected = Projection(7, ProjCol.keep("city", "coast", "info"), joined(packed))
+    val renamed = Renaming(7, Seq("town" -> "city", "coast" -> "coast", "data" -> "info"), joined(packed))
+    Seq(withCities(projected, Nip.tup("city" -> NConst("NY"))),
+        withCities(renamed, Nip.tup("town" -> NConst("NY")))).foreach { q =>
+      assert(Eval(q.query, q.tables).count() == 1) // Sue's LA address of 2019
+      // SA 1 (address2): Sue's NY row is consistent and fails σ2 only;
+      // SA 2 (address1, SR {F^I1}): Peter's and Sue's NY rows fail σ2
+      assert(Explain.rpNoSA(q).map(_.labels) == Seq(Set("σ2")))
+      assert(Explain.rp(q).map(_.labels) == Seq(Set("σ2"), Set("F^I1", "σ2")))
+      // Sue's compatible NY address dies at σ2; the join keeps both rows
+      assert(Baselines.wnPlusPlus(q) == Seq(Set(2)))
+    }
+  }
+
+  test("a flatten, a group-by key or a join key on a nesting output is rejected by name") {
+    val cases = Seq(
+      "F^T4" -> FlattenTup(4, "info", packed),
+      "γ4" -> Agg(4, Seq("k" -> "info"), Seq(AggSpec(AggFunc.Count, None, "n")), packed),
+      "⋈6" -> Join(6, JoinKind.Inner, Seq("info" -> "c"), packed, TableAccess(5, "cities")))
+    cases.foreach { case (label, query) =>
+      val e = intercept[UnsupportedTraceInput](Explain.rpNoSA(withCities(query, Nip.tup())))
+      assert(e.opLabel == label && e.getMessage.contains("info is a nesting output"), label)
+    }
   }
 
   // a nested table no data generator builds: its structure is known only

@@ -96,7 +96,7 @@ class SchemaAltsSpec extends AnyFunSuite {
   }
 
   test("substitution is the identity under the empty assignment") {
-    val (_, changed) = SchemaAlts.substitute(q, identity[SrcPath], ts)
+    val (_, changed, _) = SchemaAlts.substitute(q, identity[SrcPath], Source.schemas(q, ts), ts)
     assert(changed.isEmpty)
   }
 

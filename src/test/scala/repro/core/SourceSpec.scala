@@ -101,6 +101,17 @@ class SourceSpec extends AnyFunSuite {
     assert(s("c1") == SrcPath("w", List("c1")) && s("d1") == SrcPath("v", List("d1")))
   }
 
+  test("one id naming two different operators is rejected by name; a self-union is not") {
+    val ts2 = ts + ("v" -> StructType.fromDDL("d1 INT"))
+    val q = Join(1, JoinKind.Inner, Seq("c1" -> "d1"),
+      Selection(2, Pred.gt("c1", 1), TableAccess(0, "w")),
+      Projection(2, ProjCol.keep("d1"), TableAccess(3, "v")))
+    val e = intercept[IllegalArgumentException](Source.colSources(q, ts2))
+    assert(e.getMessage.contains("operator id 2") && e.getMessage.contains("σ2") && e.getMessage.contains("π2"))
+    val sel = Selection(2, Pred.gt("c1", 1), TableAccess(0, "w"))
+    assert(Source.colSources(UnionOp(5, sel, sel.copy()), ts).keys.toSeq == Seq("c1", "c2", "bag", "pair"))
+  }
+
   test("opRefs resolves selection and flatten references (M_sbt, Ex. 12)") {
     val q = Selection(2, Pred.gt("f", 1),
       FlattenRel(1, "bag", outer = false, TableAccess(0, "w")))

@@ -18,10 +18,14 @@ class TablesSpec extends SparkSpec {
     all.foreach { s =>
       val q = s.question; val ts = q.tableSchemas
       val queries = q.query +: SchemaAlts.enumerate(q.query, q.altGroups, ts).map(_.query)
-      queries.foreach { op =>
-        assert(Source.colSources(op, ts).keys.toSeq == Eval(op, q.tables).columns.toSeq, s.name)
-        op.allOps.collect { case f: Flatten if f.aliases.isEmpty => f }.foreach { f =>
-          val promoted = Source.promoted(f, Source.colSources(f.in, ts)(f.attr), ts).map(_._2)
+      queries.foreach { query =>
+        val schemas = Source.schemas(query, ts)
+        // every operator's entry, not only the root's
+        query.allOps.foreach { op =>
+          assert(schemas(op.id).keys.toSeq == Eval(op, q.tables).columns.toSeq, s"${s.name} ${op.label}")
+        }
+        query.allOps.collect { case f: Flatten if f.aliases.isEmpty => f }.foreach { f =>
+          val promoted = Source.promoted(f, schemas(f.in.id)(f.attr), ts).map(_._2)
           val actual = Eval.elementStruct(Eval(f.in, q.tables).schema(f.attr).dataType)
           assert(actual.map(_.fieldNames.toSeq).contains(promoted), s"${s.name} ${f.label}")
         }
