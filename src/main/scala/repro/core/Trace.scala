@@ -19,8 +19,9 @@ final case class TrackedOp(opId: Int, retCol: String)
   * same row grain are traced together ([[Trace.group]]): they share
   * ``df`` and each reads its own columns of it.
   *
-  *  - ``cols``       algebra column name -> physical column; none for a
-  *                   nesting output ([[SrcNested]] in [[Source.schemas]])
+  *  - ``cols``       each output column of the traced query -> its
+  *                   physical column, except the nesting outputs
+  *                   ([[SrcNested]] in [[Source.schemas]]), which have none
   *  - ``consistent`` cumulative revalidated compatibility (paper's
   *                   consistent flag: the row can still contribute to the
   *                   missing answer)
@@ -41,11 +42,7 @@ final case class Traced(
     cols: Map[String, String],
     consistent: String,
     alive: String,
-    tracked: Seq[TrackedOp]) {
-  def resolve(name: String): Column =
-    col(cols.getOrElse(name, throw new IllegalArgumentException(
-      s"unresolvable attribute $name (have ${cols.keys.toSeq.sorted.mkString(", ")})")))
-}
+    tracked: Seq[TrackedOp])
 
 /** An input the tracer cannot handle (outside paper §5.5's restrictions);
   * ``opLabel`` names the operator.
@@ -152,15 +149,20 @@ object Trace {
     private var n = 0
     private def fresh(hint: String): String = { n += 1; s"__c${n}_$hint" }
 
-    /** ``keep`` plus the (name hint, expression) pairs ``cols`` in one
-      * select over ``df``; an expression several lanes compute becomes one
-      * column. Returns the physical column of each expression.
+    /** One operator's new columns, added lane by lane and selected at once
+      * ([[over]]). ``add`` returns an expression's physical column at
+      * once: the one it already has when another lane added the same
+      * expression.
       */
-    private def emit(df: DataFrame, cols: Seq[(String, Column)],
-                     keep: Seq[Column] = Seq(col("*"))): (DataFrame, Map[Column, String]) = {
-      val named = mutable.LinkedHashMap.empty[Column, String]
-      cols.foreach { case (hint, c) => named.getOrElseUpdate(c, fresh(hint)) }
-      (if (named.isEmpty) df else df.select(keep ++ named.map { case (c, pc) => c.as(pc) }: _*), named.toMap)
+    private final class Cols {
+      private val named = mutable.LinkedHashMap.empty[Column, String]
+      def add(hint: String, c: Column): String = named.getOrElseUpdate(c, fresh(hint))
+
+      /** ``traced`` over ``df`` with ``keep`` and the added columns. */
+      def over(df: DataFrame, traced: Seq[Traced], keep: Seq[Column] = Seq(col("*"))): Seq[Traced] = {
+        val out = if (named.isEmpty) df else df.select(keep ++ named.map { case (c, pc) => c.as(pc) }: _*)
+        traced.map(_.copy(df = out))
+      }
     }
 
     /** The one physical column all lanes resolve ``what`` of ``op`` to. */
@@ -169,13 +171,10 @@ object Trace {
       else throw new RowGrainMismatch(
         s"traced queries resolve the $what of ${op.label} to different columns (${physical.distinct.mkString(", ")})")
 
-    /** Lane ``t``'s consistency flag conjoined with ``checks`` (null-safe);
-      * None when there is nothing to check.
+    /** Trace ``ops`` — the same operator of every lane's query. Only
+      * table access, the join and a relation flatten's explode act on the
+      * whole group; every other operator is one [[step]] per lane.
       */
-    private def checked(t: Traced, checks: Seq[Column]): Option[Column] =
-      checks.reduceOption(_ && _).map(c => col(t.consistent) && bool(c))
-
-    /** Trace ``ops`` — the same operator of every lane's query. */
     def go(ops: Seq[Op]): Seq[Traced] = {
       val op = ops.head
       if (ops.exists(o => o.id != op.id || o.getClass != op.getClass))
@@ -183,103 +182,107 @@ object Trace {
           s"traced queries differ in shape at ${ops.map(_.label).distinct.mkString(", ")}")
       op match {
         case TableAccess(_, name) => table(name)
-        case _: Selection  => selection(ops.collect { case s: Selection => s })
-        case _: Projection => projection(ops.collect { case p: Projection => p })
-        case _: Renaming =>
-          val rs = ops.collect { case r: Renaming => r }
-          go(rs.map(_.in)).zip(rs).zip(lanes).map { case ((t, r), l) =>
-            t.copy(cols = r.renames.collect { case (nu, old) if !l.nested(r.in, old) => nu -> t.cols(old) }.toMap)
-          }
-        case _: Flatten    => flatten(ops.collect { case f: Flatten => f })
-        case _: Join       => join(ops.collect { case j: Join => j })
-        case _: Agg        => agg(ops.collect { case a: Agg => a })
-        // Nesting keeps row grain in the tracer: the group members stay
-        // visible, their element constraints already pushed to them by
-        // backtracing. The nesting output has no physical column: only
-        // projections, renamings and joins pass it through (see Lane).
-        case _: NestRel | _: NestTup | _: Dedup => go(ops.flatMap(_.children))
+        case j: Join if j.kind != JoinKind.Inner => throw new UnsupportedTraceInput(j.label,
+          "the tracer's original world keeps only matched pairs, not an outer join's padded rows")
+        case _: Join => join(ops.collect { case j: Join => j })
         case u: UnionOp =>
           throw new UnsupportedTraceInput(u.label, "the row-grain tracer does not trace through a union")
+        case _ =>
+          val in = go(ops.map(_.children.head))
+          // a relation flatten explodes its (shared) attribute once; each
+          // lane then reads the element column in the attribute's place
+          val read = op match {
+            case _: FlattenRel =>
+              val fs = ops.collect { case f: FlattenRel => f }
+              val attr = shared(op, "flattened attribute", in.zip(fs).zip(lanes).map { case ((t, f), l) =>
+                l.read(t, f, f.in, f.attr, "flattened attribute") })
+              val x = fresh("x")
+              val df = in.head.df.select(col("*"), explode_outer(col(attr)).as(x))
+              in.zip(fs).map { case (t, f) => t.copy(df = df, cols = t.cols + (f.attr -> x)) }
+            case _ => in
+          }
+          val cols = new Cols
+          cols.over(read.head.df, read.zip(ops).zip(lanes).map { case ((t, o), l) => step(o, t, l, cols) })
       }
     }
 
     private def table(name: String): Seq[Traced] = {
       val src = catalog(name)
       val colMap = src.columns.map(c => c -> fresh(c)).toMap
+      val cols = new Cols
       val cons = lanes.map(l => bool(Nip.toColumn(l.placement.nipFor(name), c => src(c))))
-      val compatible = lineage.map(_.get(name).map(p => bool(p.toColumn(src(_)))).getOrElse(cons.head))
-      val (df, pc) = emit(src,
-        cons.map("consistent" -> _) ++ Seq("alive" -> lit(true)) ++ compatible.map(s"compat_$name" -> _),
-        keep = src.columns.toSeq.map(c => src(c).as(colMap(c))))
-      compatible.foreach(c => compat(name) = pc(c))
-      cons.map(c => Traced(df, colMap, pc(c), pc(lit(true)), Seq.empty))
+      val traced = cons.map(c => Traced(src, colMap, cols.add("consistent", c), cols.add("alive", lit(true)), Seq.empty))
+      lineage.foreach(o => compat(name) =
+        cols.add(s"compat_$name", o.get(name).map(p => bool(p.toColumn(src(_)))).getOrElse(cons.head)))
+      cols.over(src, traced, keep = src.columns.toSeq.map(c => src(c).as(colMap(c))))
     }
 
-    private def selection(ss: Seq[Selection]): Seq[Traced] = {
-      val in = go(ss.map(_.in))
-      val id = ss.head.id
-      val rets = in.zip(ss).map { case (t, s) => bool(s.pred.toColumn(t.resolve)) }
-      val alives = in.zip(rets).map { case (t, ret) => col(t.alive) && ret }
-      val (df, pc) = emit(in.head.df, rets.map(s"ret_$id" -> _) ++ alives.map("alive" -> _))
-      in.indices.map { k =>
-        in(k).copy(df = df, alive = pc(alives(k)), tracked = in(k).tracked :+ TrackedOp(id, pc(rets(k))))
-      }
-    }
+    /** ``op``'s annotation rule (paper §5.3) for lane ``l``, whose trace
+      * of ``op``'s input is ``t``; the columns it adds go to ``cols``.
+      */
+    private def step(op: Op, t: Traced, l: Lane, cols: Cols): Traced = {
+      val in = op.children.head
+      val attr = (a: String) => col(l.read(t, op, in, a, "attribute"))
+      val checks = l.placement.checks.getOrElse(op.id, Seq.empty)
+      // t's consistency conjoined with the operator's checks (null-safe)
+      def consistent(checked: Seq[Column]): String =
+        checked.reduceOption(_ && _).fold(t.consistent)(c => cols.add("consistent", col(t.consistent) && bool(c)))
+      op match {
+        case s: Selection =>
+          val ret = bool(s.pred.toColumn(attr))
+          val tracked = t.tracked :+ TrackedOp(s.id, cols.add(s"ret_${s.id}", ret))
+          t.copy(alive = cols.add("alive", col(t.alive) && ret), tracked = tracked)
 
-    private def projection(ps: Seq[Projection]): Seq[Traced] = {
-      val in = go(ps.map(_.in))
-      // per lane: kept columns (physical), derived expressions and the
-      // revalidated consistency; nesting outputs pass through untouched
-      val perLane = in.zip(ps).zip(lanes).map { case ((t, p), l) =>
-        val kept = p.cols.collect { case ProjCol(o, Attr(a)) if !l.nested(p.in, a) => o -> t.cols(a) }
-        val derived = p.cols.filterNot(_.expr.isInstanceOf[Attr]).map(c => c.out -> c.expr.toColumn(t.resolve))
-        val value = kept.map { case (o, pc) => o -> col(pc) }.toMap ++ derived
-        val checks = l.placement.checks.getOrElse(p.id, Seq.empty).map { case (o, n) => Nip.primColumn(n, value(o)) }
-        (kept, derived, checked(t, checks))
-      }
-      val (df, pc) = emit(in.head.df, perLane.flatMap { case (_, derived, cons) =>
-        derived ++ cons.map("consistent" -> _)
-      })
-      in.zip(perLane).map { case (t, (kept, derived, cons)) =>
-        t.copy(df = df, cols = (kept ++ derived.map { case (o, c) => o -> pc(c) }).toMap,
-          consistent = cons.map(pc).getOrElse(t.consistent))
-      }
-    }
+        case r: Renaming =>
+          t.copy(cols = r.renames.collect { case (nu, old) if !l.nested(in, old) => nu -> t.cols(old) }.toMap)
 
-    private def flatten(fs: Seq[Flatten]): Seq[Traced] = {
-      val in = go(fs.map(_.in))
-      val f0 = fs.head
-      // a relation flatten explodes the (shared) attribute into an element
-      // column; a tuple flatten reads each lane's attribute directly
-      val attrs = in.zip(fs).zip(lanes).map { case ((t, f), l) => l.read(t, f, f.in, f.attr, "flattened attribute") }
-      val (df0, elems) = f0 match {
-        case _: FlattenRel =>
-          val attr = shared(f0, "flattened attribute", attrs)
-          val x = fresh("x")
-          (in.head.df.select(col("*"), explode_outer(col(attr)).as(x)), fs.map(_ => col(x)))
-        case _: FlattenTup => (in.head.df, attrs.map(col))
-      }
-      // only an inner flatten can drop rows, so only it records a retained flag
-      val ret = f0 match {
-        case FlattenRel(_, _, false, _, _) => Some(elems.head.isNotNull)
-        case _                             => None
-      }
-      val perLane = in.zip(fs).zip(elems).zip(lanes).map { case (((t, f), elem), l) =>
-        val promoted = Source.promoted(f, l.schemas(f.in.id)(f.attr), ts)
-          .map { case (o, field) => o -> elem.getField(field) }
-        val checks = l.placement.checks.getOrElse(f.id, Seq.empty)
-          .map { case (o, nip) => Nip.primColumn(nip, promoted.toMap.apply(o)) }
-        (promoted, ret.map(col(t.alive) && _), checked(t, checks))
-      }
-      val (df, pc) = emit(df0, ret.map(s"ret_${f0.id}" -> _).toSeq ++ perLane.flatMap { case (promoted, alive, cons) =>
-        promoted ++ alive.map("alive" -> _) ++ cons.map("consistent" -> _)
-      })
-      in.zip(fs).zip(perLane).map { case ((t, f), (promoted, alive, cons)) =>
-        t.copy(df = df,
-          cols = (if (f.keepsAttr) t.cols else t.cols - f.attr) ++ promoted.map { case (o, c) => o -> pc(c) },
-          alive = alive.map(pc).getOrElse(t.alive),
-          tracked = t.tracked ++ ret.map(r => TrackedOp(f.id, pc(r))),
-          consistent = cons.map(pc).getOrElse(t.consistent))
+        case p: Projection =>
+          // kept columns stay, derived values get a column and nesting
+          // outputs pass through
+          val kept = p.cols.collect { case ProjCol(o, Attr(a)) if !l.nested(in, a) => o -> t.cols(a) }
+          val derived = p.cols.filterNot(_.expr.isInstanceOf[Attr]).map(c => c.out -> c.expr.toColumn(attr))
+          val value = kept.map { case (o, pc) => o -> col(pc) }.toMap ++ derived
+          t.copy(cols = (kept ++ derived.map { case (o, c) => o -> cols.add(o, c) }).toMap,
+            consistent = consistent(checks.map { case (o, nip) => Nip.primColumn(nip, value(o)) }))
+
+        case f: Flatten =>
+          val elem = col(l.read(t, f, in, f.attr, "flattened attribute"))
+          val promoted = Source.promoted(f, l.schemas(in.id)(f.attr), ts)
+            .map { case (o, field) => o -> elem.getField(field) }
+          // only an inner flatten can drop rows, so only it records a retained flag
+          val ret = f match {
+            case FlattenRel(_, _, false, _, _) => Some(elem.isNotNull)
+            case _                             => None
+          }
+          t.copy(
+            cols = (if (f.keepsAttr) t.cols else t.cols - f.attr) ++ promoted.map { case (o, c) => o -> cols.add(o, c) },
+            alive = ret.fold(t.alive)(r => cols.add("alive", col(t.alive) && r)),
+            tracked = t.tracked ++ ret.map(r => TrackedOp(f.id, cols.add(s"ret_${f.id}", r))),
+            consistent = consistent(checks.map { case (o, nip) => Nip.primColumn(nip, promoted.toMap.apply(o)) }))
+
+        case a: Agg =>
+          val keys = a.groupBy.map { case (o, k) => o -> l.read(t, a, in, k, "group-by key") }
+          val w = if (keys.isEmpty) Window.partitionBy(lit(1)) else Window.partitionBy(keys.map(k => col(k._2)): _*)
+          def value(spec: AggSpec) = spec.expr.map(_.toColumn(attr))
+          // each aggregate's value in the ORIGINAL pipeline
+          val outs = a.aggs.map(spec => spec.out -> cols.add(spec.out, spec.func.aliveOver(value(spec), col(t.alive), w)))
+          // aggregate-constraint satisfiability under full relaxation
+          t.copy(cols = (keys ++ outs).toMap, consistent = consistent(checks.map { case (out, prim) =>
+            val spec = a.aggs.find(_.out == out).getOrElse(
+              throw new IllegalArgumentException(s"agg constraint on unknown output $out"))
+            val (lo, hi) = spec.func.relaxedOver(value(spec), w)
+            Nip.satisfiable(prim, lo, hi)
+          }))
+
+        // Nesting keeps row grain in the tracer: the group members stay
+        // visible, their element constraints already pushed to them by
+        // backtracing. The nesting output has no physical column: only
+        // projections, renamings and joins pass it through (see Lane);
+        // the columns it consumed leave the lane.
+        case _: NestRel | _: NestTup | _: Dedup =>
+          t.copy(cols = t.cols.filter { case (a, _) => l.schemas(op.id).contains(a) })
+
+        case other => throw new IllegalStateException(s"${other.label} is traced for the whole group")
       }
     }
 
@@ -292,30 +295,22 @@ object Trace {
         (key("left join key", ls, _.left, _.conds(i)._1), key("right join key", rs, _.right, _.conds(i)._2))
       }
       // a presence flag per side
-      def side(df: DataFrame, hint: String): (DataFrame, String) = {
-        val (d, pc) = emit(df, Seq(s"p$hint" -> lit(1)))
-        (d, pc(lit(1)))
-      }
-      val (ldf, pl) = side(ls.head.df, "L")
-      val (rdf, pr) = side(rs.head.df, "R")
+      val (pl, pr) = (fresh("pL"), fresh("pR"))
+      val ldf = ls.head.df.select(col("*"), lit(1).as(pl))
+      val rdf = rs.head.df.select(col("*"), lit(1).as(pr))
       val cond = keys.map { case (a, b) => ldf(a) === rdf(b) }.reduceOption(_ && _).getOrElse(lit(true))
       val joined = ldf.join(rdf, cond, "full_outer")
 
       val hasL = col(pl).isNotNull; val hasR = col(pr).isNotNull
       val lKeyNull = keys.map { case (a, _) => col(a).isNull }.reduceOption(_ || _).getOrElse(lit(false))
       val rKeyNull = keys.map { case (_, b) => col(b).isNull }.reduceOption(_ || _).getOrElse(lit(false))
-      // retained under the *original* join type, evaluated on the traced
-      // (relaxed) inputs; rows padded because an upstream operator punched
-      // a hole (null keys from padding) are not this join's fault.
-      val baseRet = j0.kind match {
-        case JoinKind.Inner => hasL && hasR
-        case JoinKind.Left  => hasL
-        case JoinKind.Right => hasR
-        case JoinKind.Full  => lit(true)
-      }
-      val ret = baseRet || (hasL && lKeyNull) || (hasR && rKeyNull)
+      val cols = new Cols
+      // retained by the inner join, evaluated on the traced (relaxed)
+      // inputs; rows padded because an upstream operator punched a hole
+      // (null keys from padding) are not this join's fault.
+      val ret = cols.add(s"ret_${j0.id}", (hasL && hasR) || (hasL && lKeyNull) || (hasR && rKeyNull))
 
-      val perLane = ls.zip(rs).zip(js).zip(lanes).map { case (((tl, tr), j), l) =>
+      cols.over(joined, ls.zip(rs).zip(js).zip(lanes).map { case (((tl, tr), j), l) =>
         // original-world survival of a pairing: both sides alive and matched
         val alive = bool(col(tl.alive)) && bool(col(tr.alive)) && hasL && hasR
         val cons = coalesce(col(tl.consistent), lit(!l.placement.constrains(j.left))) &&
@@ -325,43 +320,12 @@ object Trace {
         def partner(key: Seq[String], other: Traced, otherHere: Column, keyNull: Column) =
           (max(when(otherHere && bool(col(other.alive)), 1).otherwise(0))
             .over(Window.partitionBy(key.map(col): _*)) === 1) || keyNull
-        val sides = lineage.map(_ =>
-          (partner(keys.map(_._1), tr, hasR, lKeyNull), partner(keys.map(_._2), tl, hasL, rKeyNull)))
-        (tl, tr, alive, cons, sides)
-      }
-      val (df, pc) = emit(joined, (s"ret_${j0.id}" -> ret) +: perLane.flatMap { case (_, _, alive, cons, sides) =>
-        Seq("alive" -> alive, "consistent" -> cons) ++
-          sides.toSeq.flatMap { case (wl, wr) => Seq(s"wnL_${j0.id}" -> wl, s"wnR_${j0.id}" -> wr) }
+        lineage.foreach(_ => partners(j0.id) = (
+          cols.add(s"wnL_${j0.id}", partner(keys.map(_._1), tr, hasR, lKeyNull)),
+          cols.add(s"wnR_${j0.id}", partner(keys.map(_._2), tl, hasL, rKeyNull))))
+        Traced(joined, tl.cols ++ tr.cols, cols.add("consistent", cons), cols.add("alive", alive),
+          tl.tracked ++ tr.tracked :+ TrackedOp(j0.id, ret))
       })
-      perLane.map { case (tl, tr, alive, cons, sides) =>
-        sides.foreach { case (wl, wr) => partners(j0.id) = (pc(wl), pc(wr)) }
-        Traced(df, tl.cols ++ tr.cols, pc(cons), pc(alive), tl.tracked ++ tr.tracked :+ TrackedOp(j0.id, pc(ret)))
-      }
-    }
-
-    private def agg(as: Seq[Agg]): Seq[Traced] = {
-      val in = go(as.map(_.in))
-      val perLane = in.zip(as).zip(lanes).map { case ((t, a), l) =>
-        val keys = a.groupBy.map { case (o, k) => o -> l.read(t, a, a.in, k, "group-by key") }
-        val w = if (keys.isEmpty) Window.partitionBy(lit(1)) else Window.partitionBy(keys.map(k => col(k._2)): _*)
-        def value(spec: AggSpec) = spec.expr.map(_.toColumn(t.resolve))
-        // each aggregate's value in the ORIGINAL pipeline
-        val outs = a.aggs.map(spec => spec.out -> spec.func.aliveOver(value(spec), col(t.alive), w))
-        // aggregate-constraint satisfiability under full relaxation
-        val checks = l.placement.checks.getOrElse(a.id, Seq.empty).map { case (out, prim) =>
-          val spec = a.aggs.find(_.out == out).getOrElse(
-            throw new IllegalArgumentException(s"agg constraint on unknown output $out"))
-          val (lo, hi) = spec.func.relaxedOver(value(spec), w)
-          Nip.satisfiable(prim, lo, hi)
-        }
-        (keys, outs, checked(t, checks))
-      }
-      val (df, pc) = emit(in.head.df, perLane.flatMap { case (_, outs, cons) => outs ++ cons.map("consistent" -> _) })
-      in.zip(perLane).map { case (t, (keys, outs, cons)) =>
-        t.copy(df = df,
-          cols = keys.toMap ++ outs.map { case (o, c) => o -> pc(c) },
-          consistent = cons.map(pc).getOrElse(t.consistent))
-      }
     }
   }
 }

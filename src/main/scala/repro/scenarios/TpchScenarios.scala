@@ -258,9 +258,7 @@ object TpchScenarios {
           Projection(128, ProjCol.keep("o_orderkey", "o_custkey"),
             TableAccess(129, ordersTable)))))
     Scenario(name, desc,
-      Question(q, d.catalog,
-        Nip.tup("c_count" -> NConst(0L), "custdist" -> NAny),
-        if (ordersTable == "orders") groupsFlat.take(0) else Seq.empty),
+      Question(q, d.catalog, Nip.tup("c_count" -> NConst(0L), "custdist" -> NAny)),
       expectedWn = Seq(Set("⋈39")),
       expectedRpNoSa = Seq(Set("⋈39")),
       expectedRp = Seq(Set("⋈39")),

@@ -110,6 +110,31 @@ class ExplainEdgeSpec extends SparkSpec {
     }
   }
 
+  test("an expression reading a nesting output is rejected by name") {
+    val query = Selection(4, IsNotNull(Attr("info")), packed)
+    assert(Eval(query, withCities(query, Nip.tup()).tables).count() == 1)
+    val e = intercept[UnsupportedTraceInput](Explain.rpNoSA(withCities(query, Nip.tup())))
+    assert(e.opLabel == "σ4" && e.getMessage.contains("info is a nesting output"))
+  }
+
+  test("an outer join is rejected by name, not traced as an inner join") {
+    import spark.implicits._
+    // b has no partner in r: the left join keeps it (cnt = 1), an inner
+    // join would drop it
+    val tables = Map("l" -> Seq((1, "a"), (2, "b")).toDF("k", "s"), "r" -> Seq((1, "x")).toDF("k2", "t"))
+    val counted = Agg(4, Agg.keys("s"), Seq(AggSpec.countStar("cnt")),
+      Join(3, JoinKind.Left, Seq("k" -> "k2"), TableAccess(1, "l"), TableAccess(2, "r")))
+    assert(Eval(counted, tables).collect().map(r => r.getString(0) -> r.getLong(1)).toMap == Map("a" -> 1L, "b" -> 1L))
+    // b is missing under cnt = 0 and present under cnt = 1
+    Seq(0L, 1L).foreach { cnt =>
+      val q = Question(Selection(5, Pred.eq("cnt", cnt), counted), tables, Nip.tup("s" -> NConst("b")))
+      Seq[Question => Any](Explain.rp, Explain.rpNoSA, Baselines.wnPlusPlus).foreach { approach =>
+        val e = intercept[UnsupportedTraceInput](approach(q))
+        assert(e.opLabel == "⟕3" && e.getMessage.contains("⟕3"), s"cnt = $cnt")
+      }
+    }
+  }
+
   // a nested table no data generator builds: its structure is known only
   // from its own schema
   private def inline(elem: String): Map[String, org.apache.spark.sql.DataFrame] =

@@ -22,12 +22,16 @@ class TraceSpec extends SparkSpec {
   private def ts = tables.map { case (n, df) => n -> df.schema }
   private def nip = Nip.tup("city" -> NConst("NY"), "nList" -> Nip.bagStar(NAny))
 
+  /** SA ``saIndex``'s trace up to π3, the nesting's input: the figures
+    * show the operators below the nesting, and only there is `name` an
+    * output column.
+    */
   private def tracedFor(saIndex: Int): (Traced, SchemaAlternative) = {
     val sas = SchemaAlts.enumerate(query,
       Seq(AltGroup(Seq("person.address2", "person.address1"))), ts)
     val sa = sas(saIndex)
     val placement = Placement.backtrace(sa.query, nip, ts)
-    (Trace.trace(sa.query, tables, placement, ts), sa)
+    (Trace.trace(sa.query.children.head, tables, placement, ts), sa)
   }
 
   test("Figure 4: table-access consistency — Peter 0, Sue 1 under S1") {
@@ -35,7 +39,7 @@ class TraceSpec extends SparkSpec {
     // before the flatten: inspect the source-level compat flags
     val placement = Placement.backtrace(query, nip, ts)
     val src = Trace.trace(TableAccess(0, "person"), tables, placement, ts)
-    val rows = src.df.select(src.resolve("name"), col(src.consistent)).collect()
+    val rows = src.df.select(col(src.cols("name")), col(src.consistent)).collect()
       .map(r => r.getString(0) -> r.getBoolean(1)).toMap
     assert(rows == Map("Peter" -> false, "Sue" -> true))
     assert(t.tracked.map(_.opId) == Seq(1, 2))
@@ -46,7 +50,7 @@ class TraceSpec extends SparkSpec {
     assert(sa.sr == Set(1))
     val placement = Placement.backtrace(sa.query, nip, ts)
     val src = Trace.trace(TableAccess(0, "person"), tables, placement, ts)
-    val rows = src.df.select(src.resolve("name"), col(src.consistent)).collect()
+    val rows = src.df.select(col(src.cols("name")), col(src.consistent)).collect()
       .map(r => r.getString(0) -> r.getBoolean(1)).toMap
     assert(rows == Map("Peter" -> true, "Sue" -> true))
   }
@@ -54,7 +58,7 @@ class TraceSpec extends SparkSpec {
   test("Figure 5: flatten revalidation keeps only the NY rows consistent") {
     val (t, _) = tracedFor(0)
     val rows = t.df
-      .select(t.resolve("name"), t.resolve("city"), col(t.consistent))
+      .select(col(t.cols("name")), col(t.cols("city")), col(t.consistent))
       .collect().map(r => (r.getString(0), r.getString(1)) -> r.getBoolean(2)).toMap
     // S1 flattens address2: Sue's NY row is the only consistent one
     assert(rows(("Sue", "NY")))
@@ -74,7 +78,7 @@ class TraceSpec extends SparkSpec {
     val (t, _) = tracedFor(0)
     val retS = t.tracked.find(_.opId == 2).get.retCol
     val rows = t.df
-      .select(t.resolve("name"), t.resolve("city"), col(retS))
+      .select(col(t.cols("name")), col(t.cols("city")), col(retS))
       .collect().map(r => (r.getString(0), r.getString(1)) -> r.getBoolean(2)).toMap
     assert(rows == Map(
       ("Peter", "LA") -> false, ("Peter", "SF") -> false,
@@ -85,7 +89,7 @@ class TraceSpec extends SparkSpec {
     val (t, _) = tracedFor(1)
     val retS = t.tracked.find(_.opId == 2).get.retCol
     val rows = t.df
-      .select(t.resolve("name"), t.resolve("city"), col(retS))
+      .select(col(t.cols("name")), col(t.cols("city")), col(retS))
       .collect().map(r => (r.getString(0), r.getString(1)) -> r.getBoolean(2)).toMap
     assert(rows(("Peter", "LA")))
     assert(!rows(("Peter", "NY"))) // 2010
@@ -104,7 +108,7 @@ class TraceSpec extends SparkSpec {
     val (t, _) = tracedFor(0)
     // only Sue (LA, 2019) survives the original query
     val alive = t.df.filter(col(t.alive))
-      .select(t.resolve("name"), t.resolve("city")).collect()
+      .select(col(t.cols("name")), col(t.cols("city"))).collect()
       .map(r => (r.getString(0), r.getString(1)))
     assert(alive.toSeq == Seq(("Sue", "LA")))
   }

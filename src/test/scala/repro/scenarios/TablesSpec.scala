@@ -1,7 +1,10 @@
 package repro.scenarios
 
+import java.math.MathContext
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
-import repro.core.{Placement, SchemaAlts, Source}
+import repro.core.{Placement, SchemaAlts, Source, SrcNested, Trace, Traced}
 import repro.nrab.{Agg, Eval, Flatten, Projection, TableAccess}
 
 /** Aggregate reproduction of the paper's evaluation tables at unit-test
@@ -31,6 +34,36 @@ class TablesSpec extends SparkSpec {
         }
       }
     }
+  }
+
+  /** Per scenario: its query's output columns that are not nesting
+    * outputs, and the query's trace.
+    */
+  private lazy val traced: Seq[(Scenario, Seq[String], Traced)] = all.map { s =>
+    val q = s.question; val ts = q.tableSchemas
+    val out = Source.colSources(q.query, ts).collect { case (c, src) if !src.isInstanceOf[SrcNested] => c }.toSeq
+    (s, out, Trace.trace(q.query, q.tables, Placement.backtrace(q.query, q.nip, ts), ts))
+  }
+
+  test("a scenario query's trace resolves every output column but the nesting outputs") {
+    traced.foreach { case (s, out, t) => assert(t.cols.keySet == out.toSet, s.name) }
+  }
+
+  test("the tracer's original world agrees with Eval on all scenario queries but Q4, Q4F, Q13, Q13F") {
+    // window and hash-aggregate sums differ in the last digits
+    def rows(df: DataFrame): Set[Seq[Any]] = df.distinct().collect().map(_.toSeq.map {
+      case d: Double => BigDecimal(d).round(new MathContext(6)).toDouble
+      case v         => v
+    }).toSet
+    val disagree = traced.collect { case (s, out, t)
+      if rows(t.df.filter(col(t.alive)).select(out.map(c => col(t.cols(c))): _*)) !=
+        rows(Eval(s.question.query, s.question.tables).select(out.map(col): _*)) => s.name }
+    // A known fault, pinned so that the set can neither grow nor shrink
+    // unnoticed: a row-grain aggregation keeps one row per input row, so
+    // an aggregation above it counts each group once per member (Q4F's
+    // γ30 over ⋈113, Q13's γ124 over γ125).
+    assert(disagree.toSet == Set("Q4", "Q4F", "Q13", "Q13F"),
+      "the original world of an aggregation over a row-grain aggregation (ROADMAP item 4)")
   }
 
   test("constraints are placed at operators and tables of the query, on columns they output") {
